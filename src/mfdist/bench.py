@@ -23,6 +23,9 @@ from .errors import (
     BudgetExhaustedError,
     ConfigError,
     InfeasibleExploitationError,
+    InsufficientSampleError,
+    PolicyError,
+    QuantileSolverError,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -321,6 +324,16 @@ def _evaluate(
     return wasserstein1(EmpiricalMeasure.from_samples(drawn), oracle)
 
 
+# numerical failures tagged on their cell; ConfigError still aborts the run
+_CELL_ERRORS = (
+    BudgetExhaustedError,
+    InfeasibleExploitationError,
+    InsufficientSampleError,
+    PolicyError,
+    QuantileSolverError,
+)
+
+
 def _run_cell(
     config: ExperimentConfig,
     suite: ModelSuite,
@@ -342,7 +355,7 @@ def _run_cell(
         estimate, state = _run_method(
             method, suite, budget, run_rng, config.fixed_subset, oracle
         )
-    except (BudgetExhaustedError, InfeasibleExploitationError) as exc:
+    except _CELL_ERRORS as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row
     row.w1_error = _evaluate(config, estimate, oracle, eval_rng)
@@ -361,7 +374,7 @@ def _run_cell(
         row.est_variance = moments.variance
         row.est_skewness = moments.skewness
         row.est_kurtosis = moments.kurtosis
-    except Exception:
+    except InsufficientSampleError:
         pass  # tiny estimates keep NaN moments; the W1 error is still valid
     return row
 
@@ -383,6 +396,16 @@ def run_experiment(
     suite = config.build_suite()
     if oracle is None:
         oracle = build_oracle_measure(config, suite)
+    return _run_cells(config, suite, oracle, threads, keep_atoms)
+
+
+def _run_cells(
+    config: ExperimentConfig,
+    suite: ModelSuite,
+    oracle: EmpiricalMeasure,
+    threads: int,
+    keep_atoms: bool,
+) -> tuple[list[ResultRow], list[dict]]:
     cells = [
         (mi, bi, r)
         for mi in range(len(config.methods))
@@ -485,7 +508,7 @@ def run_statistics_comparison(
     suite = config.build_suite()
     oracle = build_oracle_measure(config, suite)
     if rows is None:
-        rows, _ = run_experiment(config, threads=threads, oracle=oracle)
+        rows, _ = _run_cells(config, suite, oracle, threads, keep_atoms=False)
     target = moment_summary(oracle)
     targets = {
         "mean": target.mean,

@@ -44,6 +44,7 @@ class EmpiricalMeasure:
     atoms: np.ndarray
     weights: np.ndarray
     _cum: np.ndarray = field(init=False, repr=False)
+    _prefix: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -93,6 +94,23 @@ class EmpiricalMeasure:
     @property
     def support(self) -> tuple[float, float]:
         return float(self.atoms[0]), float(self.atoms[-1])
+
+    def _prefix_sums(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(shift, [0, _cum], [0, cumsum(weights * (atoms - shift))]).
+
+        Built on first use and frozen like ``_cum``.  ``shift`` is the mean,
+        so the second prefix sum stays of the order of the spread instead of
+        cancelling at the order of the atoms.  Threads racing on a shared
+        measure build identical arrays, so whichever store lands is correct.
+        """
+        if self._prefix is None:
+            shift = float(self.weights @ self.atoms)
+            levels = np.concatenate(([0.0], self._cum))
+            integral = np.concatenate(([0.0], np.cumsum(self.weights * (self.atoms - shift))))
+            levels.flags.writeable = False
+            integral.flags.writeable = False
+            object.__setattr__(self, "_prefix", (shift, levels, integral))
+        return self._prefix
 
     def merge_duplicates(self) -> "EmpiricalMeasure":
         """Equivalent measure with distinct atoms (weights of duplicates summed)."""
@@ -146,16 +164,36 @@ def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray, side: str = "right") -> 
 def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact 1-Wasserstein distance: the L1 distance between the two CDFs.
 
-    Both CDFs are piecewise constant, so the integral reduces to a finite sum
-    over the merged atom grid.  No sampling, no approximation.
+    Equal sizes sum |F_a - F_b| over the merged atom grid.  Otherwise the
+    distance is the L1 distance between the quantile functions, integrated
+    over the smaller measure's blocks (lo, hi] of constant quantile x: the
+    larger measure's quantile crosses x once, at u* = clip(F(x), lo, hi), and
+    both one-signed pieces come from its cached prefix sums.  That costs
+    O(n log M) with n < M and sorts nothing.  No sampling, no approximation.
     """
-    merged = np.sort(np.concatenate([a.atoms, b.atoms]), kind="stable")
-    gaps = np.diff(merged)
-    if gaps.size == 0:
-        return 0.0
-    fa = _cdf_on_grid(a, merged[:-1])
-    fb = _cdf_on_grid(b, merged[:-1])
-    return float(np.abs(fa - fb) @ gaps)
+    if a.size == b.size:
+        merged = np.sort(np.concatenate([a.atoms, b.atoms]), kind="stable")
+        gaps = np.diff(merged)
+        fa = _cdf_on_grid(a, merged[:-1])
+        fb = _cdf_on_grid(b, merged[:-1])
+        return float(np.abs(fa - fb) @ gaps)
+    small, large = (a, b) if a.size < b.size else (b, a)
+    shift, levels, integral = large._prefix_sums()
+
+    def integral_to(u: np.ndarray) -> np.ndarray:
+        # integral of Q_large - shift over (0, u]; piecewise linear in u
+        k = np.clip(np.searchsorted(levels, u, side="left") - 1, 0, large.size - 1)
+        return integral[k] + (u - levels[k]) * (large.atoms[k] - shift)
+
+    x = small.atoms - shift
+    edges = np.concatenate(([0.0], small._cum))
+    lo, hi = edges[:-1], edges[1:]
+    cross = np.clip(levels[np.searchsorted(large.atoms, small.atoms, side="right")], lo, hi)
+    at_edges, at_cross = integral_to(edges), integral_to(cross)
+    below = x * (cross - lo) - (at_cross - at_edges[:-1])
+    above = (at_edges[1:] - at_cross) - x * (hi - cross)
+    # each piece is non-negative exactly; clamp the roundoff of the differences
+    return float(np.maximum(below, 0.0).sum() + np.maximum(above, 0.0).sum())
 
 
 def kolmogorov(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -153,6 +154,30 @@ class TestRunExperiment:
         assert len(failed) == 2
         assert all("BudgetExhaustedError" in r.error for r in failed)
 
+    def test_numerical_failures_are_tagged_on_their_cell(self):
+        # the pinball fit of one aetc-d-q replicate fails its subgradient
+        # check here; the run completes and the failure stays on that row
+        raw = {
+            "suite": {"name": "ishigami-perfect"},
+            "methods": ["aetc-d", "aetc-d-q"],
+            "budgets": [1000],
+            "replicates": 3,
+            "seed": 0,
+            "eval": "full",
+            "oracle_samples": 10000,
+        }
+        rows, summary = run_experiment(ExperimentConfig.from_dict(raw))
+        failed = [r for r in rows if r.failed]
+        assert failed and all(r.method == "aetc-d-q" for r in failed)
+        assert all(r.error.startswith("QuantileSolverError: ") for r in failed)
+        assert all(np.isnan(r.w1_error) for r in failed)
+        by_method = {rec["method"]: rec for rec in summary}
+        assert by_method["aetc-d-q"]["failures"] == len(failed)
+        assert by_method["aetc-d"]["failures"] == 0
+        # the aetc-d cells keep their streams and results
+        alone, _ = run_experiment(ExperimentConfig.from_dict(dict(raw, methods=["aetc-d"])))
+        assert results_csv_text([r for r in rows if r.method == "aetc-d"]) == results_csv_text(alone)
+
     def test_sampled_eval_mode(self):
         cfg = small_config(eval="sampled", methods=["ecdf-y"], budgets=[200.0], replicates=2)
         rows, _ = run_experiment(cfg)
@@ -222,6 +247,38 @@ class TestStatisticsComparison:
         for stat in ("mean", "variance", "skewness", "kurtosis"):
             assert by_method["oracle"][f"mse_{stat}"] == 0.0
             assert by_method["ecdf-y"][f"mse_{stat}"] > 0.0
+
+    def test_stats_parses_a_table_once(self, tmp_path, monkeypatch):
+        from mfdist.models import SampleTable
+
+        y, x = ishigami_suite("perfect").draw(np.random.default_rng(8), 2_000)
+        SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001)).to_csv(
+            tmp_path / "table.csv", tmp_path / "costs.json"
+        )
+        parse = SampleTable.from_csv.__func__
+        calls = []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return parse(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SampleTable, "from_csv", classmethod(counting))
+        config = {
+            "suite": {
+                "name": "table",
+                "path": str(tmp_path / "table.csv"),
+                "costs_path": str(tmp_path / "costs.json"),
+            },
+            "methods": ["ecdf-y"],
+            "budgets": [60.0],
+            "replicates": 2,
+            "oracle_samples": 1_000,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main(["stats", "--config", str(cfg_path), "--out", str(tmp_path / "st")])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_reuses_rows(self):
         cfg = small_config(methods=["ecdf-y"], budgets=[60.0], replicates=2)
@@ -310,6 +367,63 @@ class TestOutputsAndCli:
         cfg_path.write_text(json.dumps({"suite": {"name": "nope"}, "methods": ["ecdf-y"], "budgets": [1]}))
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestGoldenOutputs:
+    """sha256 of every output file of one small run, in both eval modes.
+
+    Every method kind, two budgets, a 1e4-atom oracle.  The aetc-d-q cells at
+    B=1e3 fail the quantile solver's check and are pinned as tagged rows.  A
+    change that moves any output byte on purpose re-pins these and says why.
+    """
+
+    CONFIG = {
+        "suite": {"name": "ishigami-perfect"},
+        "methods": ["ecdf-y", "aetc-d", "aetc-d-no", "aetc-d-q", "oracle", "fixed-m:20"],
+        "fixed_subset": [1],
+        "budgets": [300, 1000],
+        "replicates": 2,
+        "eval_samples": 100,
+        "oracle_samples": 10_000,
+        "seed": 11,
+    }
+    RESULTS = {
+        "sampled": (
+            "60d3be5794c8a43485d459365743f79220df0d64cbe65483d492464a6769070e",
+            "1e7d10f6fa6a7726e7c6df06c4661584f7c75cf605765447aff751bee6bc3e22",
+        ),
+        "full": (
+            "8481ef64b5d1d9dc9a9db7e87e03a161d8e6167a0a25b2a7dc5109db2677d859",
+            "7f9884f66f91c2c5fcd5f3033b9815b6919084d0a4687b8a6da7ece1d99615ea",
+        ),
+    }
+    # the policy traces do not depend on the eval mode
+    TRACES = {
+        "aetc-d-no_B1000_r0.jsonl": "fb91af6b0c3211f311297bd25bd7710ebb7bcb0369db5ee9f4d4e5abaad5d8cd",
+        "aetc-d-no_B1000_r1.jsonl": "c7756d69524feb9abe25bda75adec5f8967bf71897d0a3da0284f750901d0b4b",
+        "aetc-d-no_B300_r0.jsonl": "6cbf5d621561e66f8bf6f65c1542d7e4ab34caa3f5b587875ff7d67e4f01e494",
+        "aetc-d-no_B300_r1.jsonl": "c49fa089529f758f1a75f3e4773feaebea20154565b47648994a9af007c91b78",
+        "aetc-d-q_B300_r0.jsonl": "31f3f70a7bee6a3627ff89516e4c2ddc1a69e36f1e11e5ea79c9a23bdd562f61",
+        "aetc-d-q_B300_r1.jsonl": "09a06b36cb19b29cd8e35c4a7da3426f5ebfd209b0b15c5560a343bfce147e41",
+        "aetc-d_B1000_r0.jsonl": "3f73f81e08a922879e4e7763841bfa528efb1c89a26cd5b74cf2caba350eb07c",
+        "aetc-d_B1000_r1.jsonl": "b8675537d29ed91b3efe023c9c35f874878b12520017353675a6463b63b31779",
+        "aetc-d_B300_r0.jsonl": "93945b5e02dff5d74019cb88c047d3816708a5c4174633b452f13b48b725c576",
+        "aetc-d_B300_r1.jsonl": "4e79d51556ed15406e0a0bee48215910a9f9dcc210f60edda814b8cac27f76ee",
+    }
+
+    @pytest.mark.parametrize("mode", ["sampled", "full"])
+    def test_output_hashes(self, tmp_path, mode):
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / mode
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--eval", mode])
+        assert rc == 0
+        assert (sha(out / "results.csv"), sha(out / "summary.csv")) == self.RESULTS[mode]
+        traces = {p.name: sha(p) for p in (out / "trace").glob("*.jsonl")}
+        assert traces == self.TRACES
 
 
 class TestTableSuiteEquivalence:

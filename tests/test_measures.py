@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.stats import wasserstein_distance
 
 from mfdist.errors import InsufficientSampleError
 from mfdist.measures import (
@@ -128,6 +129,112 @@ class TestWassersteinExamples:
         b = EmpiricalMeasure.point_mass(1.0)
         # 0.25 mass moved distance 1
         assert wasserstein1(a, b) == pytest.approx(0.25, abs=1e-15)
+
+
+def scipy_w1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
+    return wasserstein_distance(a.atoms, b.atoms, u_weights=a.weights, v_weights=b.weights)
+
+
+class TestWassersteinUnequalSizes:
+    """Differential checks of the quantile-block path (sizes n < M).
+
+    Tolerances: against ``w1_quantile_grid`` (exact up to roundoff on the
+    merged cumulative-weight grid) rel 1e-12; against scipy rel 1e-10, because
+    the larger measure's prefix sums are sequential cumsums whose roundoff
+    grows like M * eps (about 1e-11 relative at M = 1e5).  Both are far below
+    the 1e-3 relative error that uncentred prefix sums give on the offset case.
+    """
+
+    @staticmethod
+    def measure(rng, atoms, weighted):
+        atoms = np.sort(atoms)
+        if not weighted:
+            return EmpiricalMeasure.from_samples(atoms)
+        w = rng.uniform(0.1, 1.0, size=atoms.size)
+        return EmpiricalMeasure(atoms, w / w.sum())
+
+    def check(self, a, b):
+        got = wasserstein1(a, b)
+        assert got == wasserstein1(b, a)  # roles follow from the sizes: exact
+        assert got >= 0.0
+        assert got == pytest.approx(scipy_w1(a, b), rel=1e-10, abs=0.0)
+        if a.size + b.size <= 20_000:
+            assert got == pytest.approx(w1_quantile_grid(a, b), rel=1e-12, abs=0.0)
+        return got
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "n, ratio", [(1, 2), (3, 2), (5, 10), (7, 100), (10, 1000), (1, 100_000), (2, 100_000)]
+    )
+    def test_size_ratios(self, n, ratio, weighted):
+        rng = np.random.default_rng(1000 * n + ratio)
+        small = self.measure(rng, rng.standard_normal(n), weighted)
+        large = self.measure(rng, 0.3 + 1.5 * rng.standard_normal(n * ratio), weighted)
+        self.check(small, large)
+        self.check(large, small)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_shared_and_duplicate_atoms(self, weighted):
+        rng = np.random.default_rng(61)
+        grid = np.array([-1.0, 0.0, 0.5, 2.0, 3.5])
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            m = n * int(rng.integers(2, 6)) + int(rng.integers(0, 3))
+            a = self.measure(rng, rng.choice(grid, size=n), weighted)
+            b = self.measure(rng, rng.choice(grid[1:4], size=m), weighted)
+            self.check(a, b)
+
+    def test_point_masses(self):
+        rng = np.random.default_rng(62)
+        large = self.measure(rng, rng.standard_normal(5_000), weighted=True)
+        for c in (-10.0, float(large.atoms[0]), 0.0, float(large.atoms[2_500]), 10.0):
+            got = self.check(EmpiricalMeasure.point_mass(c), large)
+            assert got == pytest.approx(
+                float(large.weights @ np.abs(large.atoms - c)), rel=1e-12
+            )
+        two = uniform_measure(0.0, 1.0)
+        assert wasserstein1(EmpiricalMeasure.point_mass(0.5), two) == 0.5
+        assert wasserstein1(EmpiricalMeasure.point_mass(0.0), two) == 0.5
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_large_offset_is_centred(self, weighted):
+        # |x| ~ 1e6 with a spread of 1e-3: uncentred prefix sums would lose
+        # about 1e6 * eps per block, i.e. 1e-3 of the distance
+        rng = np.random.default_rng(63)
+        for n, m in ((1, 100_000), (10, 10_000), (50, 200)):
+            a = self.measure(rng, 1e6 + 1e-3 * rng.standard_normal(n), weighted)
+            b = self.measure(rng, 1e6 + 1e-3 * (0.5 + rng.standard_normal(m)), weighted)
+            self.check(a, b)
+
+    def test_equal_laws_at_sizes_n_and_kn(self):
+        # the two measures differ only by the roundoff of their cumulative
+        # weights, which grows with n * k: at n = 27, k = 19 the exact
+        # merged-grid value is already ~1e-14 * max|x|, so the bound is
+        # pinned on n <= 20, k <= 19
+        rng = np.random.default_rng(64)
+        worst = 0.0
+        for n in (1, 2, 3, 7, 12, 20):
+            for k in (2, 3, 10, 19):
+                for offset, scale in ((0.0, 1.0), (0.0, 1e3), (1e6, 1e-3), (-5.0, 1e-2)):
+                    x = offset + scale * rng.standard_normal(n)
+                    a = EmpiricalMeasure.from_samples(x)
+                    b = EmpiricalMeasure.from_samples(np.repeat(x, k))
+                    got = wasserstein1(a, b)
+                    assert got == wasserstein1(b, a)
+                    assert got >= 0.0
+                    worst = max(worst, got / np.abs(x).max())
+        assert worst <= 1e-14
+
+    def test_prefix_sums_are_cached_and_frozen(self):
+        large = EmpiricalMeasure.from_samples(np.arange(10.0))
+        small = uniform_measure(2.0, 7.0)
+        wasserstein1(small, large)
+        cached = large._prefix
+        assert cached is not None and small._prefix is None
+        wasserstein1(large, uniform_measure(1.0, 3.0, 9.0))
+        assert large._prefix is cached
+        with pytest.raises(ValueError):
+            cached[2][0] = 1.0
 
 
 class TestKolmogorov:
