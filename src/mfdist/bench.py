@@ -238,7 +238,7 @@ def run_ecdf_y(suite: ModelSuite, budget: float, rng: np.random.Generator) -> Em
         raise BudgetExhaustedError(
             f"budget {budget} cannot afford one high-fidelity sample at {suite.cost_y}"
         )
-    y, _ = suite.draw(rng, n)
+    y, _ = suite.draw(rng, n, (0,))
     return EmpiricalMeasure.from_samples(y)
 
 
@@ -307,7 +307,7 @@ def _replicate_seed(master: int, method_idx: int, budget_idx: int, replicate: in
 
 def build_oracle_measure(config: ExperimentConfig, suite: ModelSuite) -> EmpiricalMeasure:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0xFACE)))
-    y, _ = suite.draw(rng, config.oracle_samples)
+    y, _ = suite.draw(rng, config.oracle_samples, (0,))
     return EmpiricalMeasure.from_samples(y)
 
 

@@ -241,10 +241,14 @@ def moment_summary(m: EmpiricalMeasure) -> MomentSummary:
             )
     w = m.weights
     mean = float(w @ m.atoms)
-    centered = m.atoms - mean
-    m2 = float(w @ centered**2)
-    m3 = float(w @ centered**3)
-    m4 = float(w @ centered**4)
+    # products, not float powers: each x**3 or x**4 element is a libm pow call
+    dev = m.atoms - mean
+    sq = dev * dev
+    m2 = float(w @ sq)
+    dev *= sq
+    m3 = float(w @ dev)
+    sq *= sq
+    m4 = float(w @ sq)
     variance = m2 / (1.0 - float(w @ w))
     if m2 == 0.0:
         raise InsufficientSampleError("degenerate sample: all atoms identical")

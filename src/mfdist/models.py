@@ -45,7 +45,9 @@ MAX_MODELS = 16
 # a monomial in the low-fidelity outputs: ((model_index, power), ...), 1-based
 Monomial = tuple[tuple[int, int], ...]
 
-Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+# (y, x) of one draw; see ModelSuite for the sampler protocol
+Drawn = tuple[np.ndarray | None, np.ndarray | None]
+Sampler = Callable[[np.random.Generator, int, tuple[int, ...]], Drawn]
 
 
 def all_subsets(n: int) -> list[tuple[int, ...]]:
@@ -133,10 +135,17 @@ _EXPANSIONS: dict[str, Callable[[int], FeatureMap]] = {
 class ModelSuite:
     """Joint sampler of (Y, X1..Xn) plus cost and feature metadata.
 
-    ``sampler(rng, size)`` must return ``(y, x)`` with shapes (size,) and
-    (size, n); draws across calls are iid continuations of the generator's
-    stream.  A single generator must not be shared across threads; spawn
-    independent streams per worker instead.
+    ``sampler(rng, size, models)`` draws ``size`` joint rows of the models
+    in ``models``, a sorted tuple of indices (0 for Y, i for Xi), and
+    returns ``(y, x)`` with y of shape (size,) if 0 is asked for and x of
+    shape (size, n) if a surrogate is.  Whatever it returns for a model not
+    asked for goes unused; the built-in samplers do not compute it (None
+    for y, NaN columns in x).  It must use the generator exactly as a joint
+    draw does, whatever is asked, so a request returns the joint draw's
+    columns bit for bit and leaves the stream where the joint draw would.
+    Draws across calls are iid continuations of the generator's stream.  A
+    single generator must not be shared across threads; spawn independent
+    streams per worker instead.
     """
 
     name: str
@@ -173,14 +182,25 @@ class ModelSuite:
         """Cost of one exploitation round of a subset (feature expansion is free)."""
         return float(sum(self.costs[i - 1] for i in subset))
 
-    def draw(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        y, x = self.sampler(rng, size)
-        y = np.asarray(y, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        if y.shape != (size,) or x.shape != (size, self.n):
+    def draw(
+        self, rng: np.random.Generator, size: int, models: tuple[int, ...] | None = None
+    ) -> Drawn:
+        """``size`` joint rows of the ``models`` asked for (default: all).
+
+        Returns ``(y, x)`` as the sampler protocol describes, with y None
+        unless 0 is asked for and x None unless a surrogate is.
+        """
+        models = tuple(range(self.n + 1)) if models is None else tuple(sorted(set(models)))
+        if not models or models[0] < 0 or models[-1] > self.n:
+            raise ValueError(f"models must be a nonempty subset of 0..{self.n}, got {models}")
+        y, x = self.sampler(rng, size, models)
+        y = np.asarray(y, dtype=np.float64) if models[0] == 0 else None
+        x = np.asarray(x, dtype=np.float64) if models[-1] > 0 else None
+        if y is not None and y.shape != (size,):
+            raise ValueError(f"sampler returned y of shape {y.shape}; expected ({size},)")
+        if x is not None and x.shape != (size, self.n):
             raise ValueError(
-                f"sampler returned shapes {y.shape}, {x.shape}; "
-                f"expected ({size},), ({size}, {self.n})"
+                f"sampler returned x of shape {x.shape}; expected ({size}, {self.n})"
             )
         return y, x
 
@@ -197,20 +217,40 @@ class ModelSuite:
 # ---------------------------------------------------------------------------
 
 
+def _blank_unasked(x: np.ndarray, models: tuple[int, ...]) -> np.ndarray:
+    """Fill the columns of the surrogates not asked for with NaN, in place."""
+    x[:, [i for i in range(x.shape[1]) if i + 1 not in models]] = np.nan
+    return x
+
+
 def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> Sampler:
-    def sample(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
         z = rng.uniform(-np.pi, np.pi, size=(size, 5))
         s1 = np.sin(z[:, 0])
         s2sq = np.sin(z[:, 1]) ** 2
-        z3q = z[:, 2] ** 4
-        y = s1 + a * s2sq + b * z3q * s1 + c * np.sin(z[:, 3]) ** 3 + d * np.sin(z[:, 4]) ** 4
+        y = None
+        x = _blank_unasked(np.empty((size, 2)), models) if models[-1] > 0 else None
         if variant == "perfect":
-            x1 = s1 + a * s2sq + b * z3q * s1 + c * np.sin(z[:, 3]) ** 3
-            x2 = s1 + a * s2sq + b * z3q * s1
-        else:
-            x1 = s1 + 0.95 * a * s2sq + b * z3q * s1
-            x2 = s1 + 0.6 * a * s2sq + 9.0 * b * z[:, 2] ** 2 * s1
-        return y, np.column_stack([x1, x2])
+            # Y's terms summed left to right; X2 and X1 are its partial sums,
+            # so no term is computed twice
+            part = s1 + a * s2sq + b * z[:, 2] ** 4 * s1
+            if 2 in models:
+                x[:, 1] = part
+            if models[0] <= 1:
+                part += c * np.sin(z[:, 3]) ** 3
+                if 1 in models:
+                    x[:, 0] = part
+                if models[0] == 0:
+                    y = part + d * np.sin(z[:, 4]) ** 4
+            return y, x
+        z3q = z[:, 2] ** 4 if models[0] <= 1 else None
+        if models[0] == 0:
+            y = s1 + a * s2sq + b * z3q * s1 + c * np.sin(z[:, 3]) ** 3 + d * np.sin(z[:, 4]) ** 4
+        if 1 in models:
+            x[:, 0] = s1 + 0.95 * a * s2sq + b * z3q * s1
+        if 2 in models:
+            x[:, 1] = s1 + 0.6 * a * s2sq + 9.0 * b * z[:, 2] ** 2 * s1
+        return y, x
 
     return sample
 
@@ -338,9 +378,11 @@ def table_suite(table: SampleTable, name: str = "table") -> ModelSuite:
     if table.rows == 0:
         raise TableParseError("cannot build a suite from an empty table")
 
-    def sample(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
         idx = rng.integers(0, table.rows, size=size)
-        return table.y[idx], table.x[idx]
+        y = table.y[idx] if models[0] == 0 else None
+        x = _blank_unasked(table.x[idx], models) if models[-1] > 0 else None
+        return y, x
 
     return ModelSuite(
         name=name, cost_y=table.cost_y, costs=table.costs, sampler=sample

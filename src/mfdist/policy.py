@@ -11,7 +11,6 @@ budget sampling only that subset through a regression emulator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,9 +182,6 @@ class PolicyState:
     @property
     def t(self) -> int:
         return int(self.y_epr.size)
-
-    def trace_jsonl(self) -> str:
-        return "\n".join(json.dumps(rec) for rec in self.trace)
 
 
 def max_exploration_rounds(suite: ModelSuite, budget: float) -> int:
@@ -424,9 +420,9 @@ def exploit(
 ) -> EmpiricalMeasure:
     """Spend the remaining budget sampling the committed subset.
 
-    Draws N fresh joint samples restricted to the subset (each costing its
-    exploitation rate), evaluates the regression emulator on them, and
-    returns the resulting empirical measure.  Variants: ``standard`` adds a
+    Draws N fresh samples of the subset's surrogates only (each costing its
+    exploitation rate; Y is never evaluated), evaluates the regression
+    emulator on them, and returns the resulting empirical measure.  Variants: ``standard`` adds a
     uniformly resampled exploration residual to each draw, ``no-noise`` adds
     nothing, ``quantile`` evaluates per-level coefficients at levels drawn
     uniformly from a fixed grid.  Exploration samples are never recycled.
@@ -450,7 +446,7 @@ def exploit(
     emulator = _build_emulator(state, suite, variant)
     # draw order is part of the determinism contract: surrogate inputs first,
     # then the noise indices
-    _, x = suite.draw(rng, n_exploit)
+    _, x = suite.draw(rng, n_exploit, subset)
     Z = design_matrix(suite.features(subset, x))
     if variant == "quantile":
         assert emulator.quantiles is not None

@@ -100,6 +100,22 @@ def w1_aligned_uniform(
     return float(total / ref_sorted.size)
 
 
+def moments_float_powers(atoms, weights) -> tuple[float, float, float, float]:
+    """Mean, unbiased variance, skewness and kurtosis from float powers.
+
+    The centred formula of ``moment_summary`` with ``**`` in place of
+    products, so the two differ only in the rounding of the third and fourth
+    powers.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    mean = float(w @ atoms)
+    centered = np.asarray(atoms, dtype=np.float64) - mean
+    m2 = float(w @ centered**2)
+    m3 = float(w @ centered**3)
+    m4 = float(w @ centered**4)
+    return mean, m2 / (1.0 - float(w @ w)), m3 / m2**1.5, m4 / m2**2
+
+
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Golden-section search for the minimizer of a unimodal function."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

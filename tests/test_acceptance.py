@@ -378,7 +378,7 @@ def random_run_suite(rng) -> ModelSuite:
     noise = float(rng.uniform(0.0, 1.0)) * (rng.random() < 0.9)
     coef = rng.normal(size=n)
 
-    def sample(r, size, coef=coef, noise=noise, n=n):
+    def sample(r, size, models, coef=coef, noise=noise, n=n):
         x = r.normal(size=(size, n))
         y = 1.0 + x @ coef + noise * r.normal(size=size)
         return y, x
@@ -435,7 +435,7 @@ class TestCriterion6:
 def heteroscedastic_suite() -> ModelSuite:
     # conditional scale grows with the surrogate, breaking the independent
     # additive-noise premise while keeping conditional quantiles linear
-    def sample(rng, size):
+    def sample(rng, size, models):
         x1 = rng.uniform(0.0, 2.0, size)
         eta = rng.uniform(-1.0, 1.0, size)
         y = x1 + np.abs(x1) * eta

@@ -389,11 +389,11 @@ class TestGoldenOutputs:
     }
     RESULTS = {
         "sampled": (
-            "60d3be5794c8a43485d459365743f79220df0d64cbe65483d492464a6769070e",
+            "d68efcd7d335d407989385b3a11c2b0835fbacbae996d04a91287698823fae0b",
             "1e7d10f6fa6a7726e7c6df06c4661584f7c75cf605765447aff751bee6bc3e22",
         ),
         "full": (
-            "8481ef64b5d1d9dc9a9db7e87e03a161d8e6167a0a25b2a7dc5109db2677d859",
+            "5e0f3cb7e4900d0ebc06d52cc52941b6d9cc7c9fc8bf6d5cd48813667a0ede50",
             "7f9884f66f91c2c5fcd5f3033b9815b6919084d0a4687b8a6da7ece1d99615ea",
         ),
     }
@@ -472,7 +472,7 @@ class TestStatisticsOrdering:
         # symmetric response: both methods' skewness estimates center at 0
         from mfdist.models import ModelSuite
 
-        def sample(rng, size):
+        def sample(rng, size, models):
             x = rng.normal(size=(size, 1))
             return 2.0 * x[:, 0] + 0.5 * rng.normal(size=size), x
 

@@ -15,7 +15,7 @@ from mfdist.measures import (
     wasserstein1,
 )
 
-from oracles import w1_bruteforce_assignment, w1_quantile_grid
+from oracles import moments_float_powers, w1_bruteforce_assignment, w1_quantile_grid
 
 
 def uniform_measure(*atoms) -> EmpiricalMeasure:
@@ -388,6 +388,37 @@ class TestMomentSummary:
         for _ in range(20):
             m = EmpiricalMeasure.from_samples(rng.normal(size=12))
             assert moment_summary(m).kurtosis >= 1.0
+
+    def test_matches_float_powers_and_scipy(self):
+        rng = np.random.default_rng(51)
+        skewed = rng.exponential(size=4000)
+        offset = 1e6 + 1e-3 * rng.gamma(2.0, size=4000)
+        atoms = np.sort(rng.lognormal(size=500))
+        reps = rng.integers(1, 20, size=500)
+        cases = [
+            ("skewed", EmpiricalMeasure.from_samples(skewed), skewed),
+            ("offset", EmpiricalMeasure.from_samples(offset), offset),
+            # integer weights k/K equal the uniform measure on k copies
+            ("weighted", EmpiricalMeasure(atoms, reps / reps.sum()), np.repeat(atoms, reps)),
+        ]
+        for name, m, expanded in cases:
+            summary = moment_summary(m)
+            got = (summary.mean, summary.variance, summary.skewness, summary.kurtosis)
+            ref = moments_float_powers(m.atoms, m.weights)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
+            # scipy centres at its own mean; at a 1e6 offset one ulp of the
+            # mean (1.2e-10) moves the skewness by ~2e-7, so both centre at
+            # the summary's mean and only the moment arithmetic is compared
+            m2 = stats.moment(expanded, 2, center=summary.mean)
+            skewness = stats.moment(expanded, 3, center=summary.mean) / m2**1.5
+            kurtosis = stats.moment(expanded, 4, center=summary.mean) / m2**2
+            assert summary.skewness == pytest.approx(skewness, rel=1e-12), name
+            assert summary.kurtosis == pytest.approx(kurtosis, rel=1e-12), name
+            if name != "offset":
+                assert summary.skewness == pytest.approx(stats.skew(expanded), rel=1e-12)
+                assert summary.kurtosis == pytest.approx(
+                    stats.kurtosis(expanded, fisher=False), rel=1e-12
+                )
 
     def test_insufficient_atoms(self):
         with pytest.raises(InsufficientSampleError):

@@ -76,6 +76,68 @@ class TestIshigamiSuite:
             ishigami_suite("exact")
 
 
+def _bootstrap_table_suite():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(300, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=300)
+    return table_suite(SampleTable(y=y, x=x, cost_y=1.0, costs=(0.1, 0.05, 0.01)))
+
+
+class TestSubsetDraws:
+    """A request for some models returns the joint draw's columns bit for bit
+    and leaves the generator where the joint draw leaves it."""
+
+    @pytest.mark.parametrize(
+        "suite",
+        [ishigami_suite("perfect"), ishigami_suite("approx"), _bootstrap_table_suite()],
+        ids=["ishigami-perfect", "ishigami-approx", "table"],
+    )
+    def test_requests_match_the_joint_draw(self, suite):
+        reference = np.random.default_rng(23)
+        y, x = suite.draw(reference, 1000)
+        y_next, x_next = suite.draw(reference, 700)
+        requests = [(0,)] + all_subsets(suite.n) + [tuple(range(suite.n + 1))]
+        for models in requests:
+            rng = np.random.default_rng(23)
+            yr, xr = suite.draw(rng, 1000, models)
+            if 0 in models:
+                assert yr.tobytes() == y.tobytes(), models
+            else:
+                assert yr is None, models
+            if models[-1] == 0:
+                assert xr is None, models
+            for i in range(1, suite.n + 1):
+                if xr is None:
+                    continue
+                if i in models:
+                    assert xr[:, i - 1].tobytes() == x[:, i - 1].tobytes(), models
+                else:
+                    assert np.isnan(xr[:, i - 1]).all(), models
+            yn, xn = suite.draw(rng, 700)
+            assert yn.tobytes() == y_next.tobytes() and xn.tobytes() == x_next.tobytes()
+
+    def test_default_is_the_joint_draw(self):
+        suite = ishigami_suite("perfect")
+        y, x = suite.draw(np.random.default_rng(4), 50)
+        yj, xj = suite.draw(np.random.default_rng(4), 50, (2, 0, 1, 1))
+        assert np.array_equal(y, yj) and np.array_equal(x, xj)
+
+    @pytest.mark.parametrize("models", [(), (3,), (-1, 1)])
+    def test_models_out_of_range(self, models):
+        with pytest.raises(ValueError, match="models"):
+            ishigami_suite("perfect").draw(np.random.default_rng(0), 5, models)
+
+    def test_sampler_shape_is_checked_for_what_was_asked(self):
+        suite = ModelSuite(
+            name="short", cost_y=1.0, costs=(0.1,),
+            sampler=lambda r, n, models: (np.zeros(n - 1), np.zeros((n, 1))),
+        )
+        _, x = suite.draw(np.random.default_rng(0), 4, (1,))
+        assert x.shape == (4, 1)
+        with pytest.raises(ValueError, match="shape"):
+            suite.draw(np.random.default_rng(0), 4)
+
+
 class TestFeatureExpansion:
     def test_cubic_terms_for_single_model(self):
         suite = expanded_suite(ishigami_suite("perfect"), "L")
@@ -122,13 +184,13 @@ class TestFeatureExpansion:
 class TestSuiteValidation:
     def test_cost_positivity(self):
         with pytest.raises(ConfigError):
-            ModelSuite(name="bad", cost_y=0.0, costs=(1.0,), sampler=lambda r, n: (None, None))
+            ModelSuite(name="bad", cost_y=0.0, costs=(1.0,), sampler=lambda r, n, models: (None, None))
 
     def test_model_cap(self):
         with pytest.raises(ConfigError, match="cap"):
             ModelSuite(
                 name="big", cost_y=1.0, costs=(0.1,) * 17,
-                sampler=lambda r, n: (None, None),
+                sampler=lambda r, n, models: (None, None),
             )
 
     def test_cost_accounting_identity(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -28,7 +30,7 @@ from oracles import golden_section_min
 def linear_gaussian_suite(noise=0.3, costs=(0.05, 0.01), cost_y=1.0) -> ModelSuite:
     """Cheap synthetic truth Y = 1 + 2*X1 - X2 + noise for fast policy runs."""
 
-    def sample(rng, size):
+    def sample(rng, size, models):
         x = rng.normal(size=(size, 2))
         y = 1.0 + 2.0 * x[:, 0] - x[:, 1] + noise * rng.normal(size=size)
         return y, x
@@ -255,7 +257,7 @@ class TestAetcdStep:
         # Y == X1 while X2 is noise: the exactly-fitting subsets carry k1 = 0
         # and are ineligible, so the policy falls back to the best subset that
         # still has exploration error to balance
-        def sample(rng, size):
+        def sample(rng, size, models):
             x = rng.normal(size=(size, 2))
             return x[:, 0].copy(), x
 
@@ -352,6 +354,63 @@ class TestExploit:
         est, state = run_aetc_d(suite, 200.0, np.random.default_rng(14), variant="quantile")
         assert est.size >= 1
         assert state.phase == "exhausted"
+
+
+def recording_suite(suite: ModelSuite) -> tuple[ModelSuite, list]:
+    """The same suite, logging the (size, models) of every sampler call."""
+    calls = []
+
+    def sample(rng, size, models):
+        calls.append((size, models))
+        return suite.sampler(rng, size, models)
+
+    return replace(suite, sampler=sample), calls
+
+
+class TestDrawRequests:
+    JOINT = (0, 1, 2)
+
+    @pytest.mark.parametrize("variant", ["standard", "no-noise", "quantile"])
+    def test_exploit_asks_only_for_the_committed_subset(self, variant):
+        # Y depends on X1 alone, so the policy commits to a proper subset
+        def sample(rng, size, models):
+            x = rng.normal(size=(size, 2))
+            return 1.0 + 2.0 * x[:, 0] + 0.3 * rng.normal(size=size), x
+
+        suite, calls = recording_suite(
+            ModelSuite(name="x1", cost_y=1.0, costs=(0.05, 0.01), sampler=sample)
+        )
+        est, state = run_aetc_d(suite, 400.0, np.random.default_rng(15), variant=variant)
+        assert state.chosen == (1,)
+        assert calls[-1] == (est.size, (1,))
+        assert all(models == self.JOINT for _, models in calls[:-1])
+        assert sum(size for size, _ in calls[:-1]) == state.t
+
+    def test_fixed_m_explores_jointly_and_exploits_the_subset(self):
+        from mfdist.bench import run_fixed_m
+
+        suite, calls = recording_suite(ishigami_suite("perfect"))
+        est, _ = run_fixed_m(suite, 200.0, 20, (2,), np.random.default_rng(16))
+        assert calls == [(20, self.JOINT), (est.size, (2,))]
+
+    def test_pilot_draws_jointly(self):
+        suite, calls = recording_suite(ishigami_suite("perfect"))
+        pilot_statistics(suite, 500, np.random.default_rng(17))
+        assert calls == [(500, self.JOINT)]
+
+    def test_baseline_and_oracle_ask_only_for_y(self):
+        from mfdist.bench import ExperimentConfig, build_oracle_measure, run_ecdf_y
+
+        suite, calls = recording_suite(ishigami_suite("perfect"))
+        est = run_ecdf_y(suite, 50.0, np.random.default_rng(18))
+        assert calls == [(est.size, (0,))]
+        calls.clear()
+        cfg = ExperimentConfig.from_dict(
+            {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
+             "budgets": [50.0], "oracle_samples": 1000}
+        )
+        build_oracle_measure(cfg, suite)
+        assert calls == [(1000, (0,))]
 
 
 class TestPolicyOnPerfectSuite:
