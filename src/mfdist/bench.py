@@ -431,10 +431,13 @@ def nearest_rank_quantile(values: np.ndarray, p: float) -> float:
 
 
 def summarize_rows(config: ExperimentConfig, rows: list[ResultRow]) -> list[dict]:
+    cells: dict[tuple[str, float], list[ResultRow]] = {}
+    for r in rows:
+        cells.setdefault((r.method, r.budget), []).append(r)
     summary = []
     for method in config.methods:
         for budget in config.budgets:
-            cell = [r for r in rows if r.method == method and r.budget == budget]
+            cell = cells.get((method, budget), [])
             good = np.array([r.w1_error for r in cell if not r.failed])
             record = {
                 "method": method,
@@ -538,10 +541,7 @@ def run_statistics_comparison(
 
 def write_results_csv(rows: list[ResultRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(row.to_csv_fields())
+        fh.write(results_csv_text(rows))
 
 
 def write_summary_csv(summary: list[dict], path: str | Path) -> None:

@@ -2,8 +2,9 @@
 
 Both fitters operate on an explicit design matrix whose first column is the
 intercept (see :func:`design_matrix`).  The least-squares path uses an
-SVD-based solve, never the normal equations; the quantile path solves the
-exact linear-programming reformulation of the pinball objective.
+SVD-based solve, never the normal equations; the quantile path walks the
+vertices of the pinball objective's linear program exactly, by simplex pivots
+shared across the quantile levels.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import qr
 from scipy.optimize import linprog
 
 from .errors import InsufficientSampleError, QuantileSolverError
@@ -160,35 +162,96 @@ def pinball_subgradient_margin(
     return float(min(margins))
 
 
-def _solve_pinball_dual(Z: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-    """Exact pinball minimization via the box-constrained dual LP.
+def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Exact minimizers of sum_i pinball(y_i - z_i^T beta, tau), level by
+    level, for a design of full column rank.
 
-    The dual has one variable per row, bounded in [-(1-tau)/m, tau/m], and
-    only ``cols`` equality constraints; the primal coefficients are the
-    marginals of those constraints.  Orders of magnitude faster than the
-    primal LP for long designs.
+    A Barrodale-Roberts simplex walk over vertices, i.e. coefficient vectors
+    that fit ``cols`` basis rows exactly, warm-started at each level from the
+    previous level's optimal basis (the parametric path of Koenker and
+    d'Orey, AS 229).  From a vertex, the 2 * cols edges free one basis row's
+    residual upwards or downwards while the others stay at zero; along the
+    edge freeing row k, the residuals change at the rate +-W[:, k] with
+    W = Z inv(Z_h).  The steepest descending edge is followed up to the
+    weighted median of its residual sign changes, and the row crossing zero
+    there replaces row k.
+
+    A residual off the basis that is zero up to rounding takes its sign from
+    a fixed symbolic perturbation y + eps * u of the response (Charnes'
+    perturbation), so every vertex is nondegenerate: the edge test is then a
+    complete optimality test, a zero row can enter the basis by a step of
+    length zero, and the perturbed objective falls at every pivot.
     """
-    m = y.size
-    res = linprog(
-        c=-y,
-        A_eq=Z.T,
-        b_eq=np.zeros(Z.shape[1]),
-        bounds=[(-(1.0 - tau) / m, tau / m)] * m,
-        method="highs",
-    )
-    if res.status != 0:
-        raise QuantileSolverError(
-            f"dual pinball LP failed at tau={tau}: status {res.status} ({res.message})"
-        )
-    beta = np.asarray(res.eqlin.marginals, dtype=np.float64)
-    # scipy's marginal sign convention has flipped across versions; accept
-    # whichever sign yields the dual optimum's objective
-    v_dual = -float(res.fun)
-    if abs(_mean_pinball(Z, y, tau, -beta) - v_dual) < abs(
-        _mean_pinball(Z, y, tau, beta) - v_dual
-    ):
-        beta = -beta
-    return beta
+    m, p = Z.shape
+    h = np.sort(qr(Z.T, mode="r", pivoting=True)[1][:p])
+    u = np.random.default_rng(0).uniform(1.0, 2.0, m)
+    z_norm = np.abs(Z).sum(axis=1)
+    betas = np.empty((taus.size, p))
+    max_pivots = 10 * (m + taus.size)
+    pivots = 0
+
+    def vertex(h):
+        Zh = Z[h]
+        beta = np.linalg.solve(Zh, y[h])
+        Zh_inv = np.linalg.inv(Zh)
+        W = Z @ Zh_inv
+        # rates and residuals below rounding level are zero
+        W[np.abs(W) <= 1e-12 * np.max(np.abs(Zh_inv)) * z_norm[:, None]] = 0.0
+        r = y - Z @ beta
+        r[np.abs(r) <= 1e-12 * (np.abs(y) + z_norm * np.max(np.abs(beta)))] = 0.0
+        r[h] = 0.0
+        e = u - W @ u[h]  # the perturbation's residuals
+        sign = np.where(r == 0.0, np.sign(e), np.sign(r))
+        sign[h] = 0.0
+        return beta, W, r, e, sign
+
+    beta, W, r, e, sign = vertex(h)
+    for i, tau in enumerate(taus):
+        while True:
+            # derivatives along the edges that raise (up) or lower (down)
+            # each basis row's residual
+            g = np.where(sign > 0.0, tau, np.where(sign < 0.0, tau - 1.0, 0.0)) @ W
+            slopes = np.concatenate([g + tau, (1.0 - tau) - g])
+            edge = int(np.argmin(slopes))
+            k = edge % p
+            if slopes[edge] >= -1e-12 * np.abs(W[:, k]).sum():
+                break
+            pivots += 1
+            if pivots > max_pivots:
+                raise QuantileSolverError(
+                    f"pinball basis walk exceeded {max_pivots} pivots at tau={tau}"
+                )
+            a = W[:, k] if edge < p else -W[:, k]
+            crossing = np.flatnonzero(sign * a < 0.0)
+            a_c = a[crossing]
+            # order by the perturbed crossing times t + eps * t_eps
+            order = np.lexsort((-e[crossing] / a_c, -r[crossing] / a_c))
+            rise = np.cumsum(np.abs(a_c)[order])
+            j = int(np.searchsorted(rise, -slopes[edge]))
+            if j == order.size:
+                raise QuantileSolverError(f"pinball objective unbounded at tau={tau}")
+            h[k] = crossing[order[j]]
+            h.sort()
+            beta, W, r, e, sign = vertex(h)
+        betas[i] = beta
+    return betas
+
+
+def _pinball_path(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Exact pinball minimizers at every level, by one basis walk.
+
+    A rank-deficient design is reduced to the independent columns picked by
+    a pivoted QR; the other coefficients are zero, which leaves the fitted
+    values, and so the loss, those of an optimum.
+    """
+    R, cols = qr(Z, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(Z.shape) * np.finfo(np.float64).eps))
+    cols = np.sort(cols[:rank])
+    betas = np.zeros((taus.size, Z.shape[1]))
+    if rank:
+        betas[:, cols] = _basis_walk(Z[:, cols], y, taus)
+    return betas
 
 
 def _lex_smallest_on_face(
@@ -245,21 +308,23 @@ def _lex_smallest_on_face(
 def quantile_fit(Z: np.ndarray, y: np.ndarray, taus) -> QuantileFit:
     """Fit one pinball-loss minimizer per quantile level.
 
-    Each level is solved exactly as a linear program (deterministic HiGHS
-    backend).  When the argmin is a face rather than a vertex - detected via
-    a zero one-sided subgradient direction - the lexicographically smallest
-    vertex is selected, so e.g. an even-sample median resolves to the lower
-    middle order statistic.
+    The levels are solved exactly by one simplex walk over the vertices of
+    the pinball objective (:func:`_basis_walk`), each level starting from the
+    previous level's optimal basis.  Every solution must pass
+    :func:`pinball_subgradient_margin`.  When the argmin is a face rather than
+    a vertex - detected via a zero one-sided subgradient direction - the
+    lexicographically smallest vertex is selected, so e.g. an even-sample
+    median resolves to the lower middle order statistic.
     """
     Z, y = _check_design(Z, y)
     taus = np.asarray(taus, dtype=np.float64)
-    betas = np.empty((taus.size, Z.shape[1]))
-    for i, tau in enumerate(taus):
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
-        beta = _solve_pinball_dual(Z, y, float(tau))
-        v_star = _mean_pinball(Z, y, float(tau), beta)
-        margin = pinball_subgradient_margin(Z, y, float(tau), beta)
+    bad = ~((taus > 0.0) & (taus < 1.0))
+    if np.any(bad):
+        raise ValueError(f"tau must lie in (0, 1), got {taus[bad][0]!r}")
+    betas = _pinball_path(Z, y, taus)
+    for tau, beta in zip(taus.tolist(), betas):
+        v_star = _mean_pinball(Z, y, tau, beta)
+        margin = pinball_subgradient_margin(Z, y, tau, beta)
         scale = 1.0 + abs(v_star)
         if margin < -1e-7 * scale:
             raise QuantileSolverError(
@@ -267,6 +332,5 @@ def quantile_fit(Z: np.ndarray, y: np.ndarray, taus) -> QuantileFit:
                 f"(margin {margin:.3e})"
             )
         if margin < 1e-10 * scale:
-            beta = _lex_smallest_on_face(Z, y, float(tau), v_star)
-        betas[i] = beta
+            beta[:] = _lex_smallest_on_face(Z, y, tau, v_star)
     return QuantileFit(taus=taus, betas=betas)

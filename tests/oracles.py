@@ -146,3 +146,27 @@ def ols_normal_equations_mp(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
         rhs = Zm.T * ym
         beta = mpmath.lu_solve(gram, rhs)
         return np.array([float(beta[i]) for i in range(Z.shape[1])])
+
+
+def pinball_primal_lp(Z: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """Pinball regression as its primal LP, solved by HiGHS.
+
+    Minimize tau/m * sum(u) + (1 - tau)/m * sum(v) over (beta, u, v) subject
+    to Z beta + u - v = y and u, v >= 0, in dense form.  Returns beta and the
+    mean pinball loss evaluated at beta (not the LP's own objective, which
+    HiGHS meets only to its feasibility tolerance).
+    """
+    from scipy.optimize import linprog
+
+    m, p = Z.shape
+    res = linprog(
+        c=np.concatenate([np.zeros(p), np.full(m, tau / m), np.full(m, (1.0 - tau) / m)]),
+        A_eq=np.hstack([Z, np.eye(m), -np.eye(m)]),
+        b_eq=y,
+        bounds=[(None, None)] * p + [(0.0, None)] * (2 * m),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    beta = res.x[:p]
+    r = y - Z @ beta
+    return beta, float(np.mean(np.where(r < 0.0, (tau - 1.0) * r, tau * r)))

@@ -20,8 +20,9 @@ from mfdist.bench import (
     write_summary_csv,
 )
 from mfdist.cli import main as cli_main
-from mfdist.errors import BudgetExhaustedError, ConfigError
+from mfdist.errors import BudgetExhaustedError, ConfigError, QuantileSolverError
 from mfdist.models import ishigami_suite
+from mfdist.regress import quantile_fit
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -154,9 +155,20 @@ class TestRunExperiment:
         assert len(failed) == 2
         assert all("BudgetExhaustedError" in r.error for r in failed)
 
-    def test_numerical_failures_are_tagged_on_their_cell(self):
-        # the pinball fit of one aetc-d-q replicate fails its subgradient
-        # check here; the run completes and the failure stays on that row
+    def test_numerical_failures_are_tagged_on_their_cell(self, monkeypatch):
+        # the pinball fit of one aetc-d-q replicate fails; the run completes
+        # and the failure stays on that row
+        import mfdist.policy
+
+        fits = []
+
+        def failing_second_fit(Z, y, taus):
+            fits.append(len(y))
+            if len(fits) == 2:
+                raise QuantileSolverError("injected failure")
+            return quantile_fit(Z, y, taus)
+
+        monkeypatch.setattr(mfdist.policy, "quantile_fit", failing_second_fit)
         raw = {
             "suite": {"name": "ishigami-perfect"},
             "methods": ["aetc-d", "aetc-d-q"],
@@ -169,6 +181,7 @@ class TestRunExperiment:
         rows, summary = run_experiment(ExperimentConfig.from_dict(raw))
         failed = [r for r in rows if r.failed]
         assert failed and all(r.method == "aetc-d-q" for r in failed)
+        assert [r.replicate for r in failed] == [1]
         assert all(r.error.startswith("QuantileSolverError: ") for r in failed)
         assert all(np.isnan(r.w1_error) for r in failed)
         by_method = {rec["method"]: rec for rec in summary}
@@ -372,9 +385,8 @@ class TestOutputsAndCli:
 class TestGoldenOutputs:
     """sha256 of every output file of one small run, in both eval modes.
 
-    Every method kind, two budgets, a 1e4-atom oracle.  The aetc-d-q cells at
-    B=1e3 fail the quantile solver's check and are pinned as tagged rows.  A
-    change that moves any output byte on purpose re-pins these and says why.
+    Every method kind, two budgets, a 1e4-atom oracle; every cell completes.
+    A change that moves any output byte on purpose re-pins these and says why.
     """
 
     CONFIG = {
@@ -389,12 +401,12 @@ class TestGoldenOutputs:
     }
     RESULTS = {
         "sampled": (
-            "d68efcd7d335d407989385b3a11c2b0835fbacbae996d04a91287698823fae0b",
-            "1e7d10f6fa6a7726e7c6df06c4661584f7c75cf605765447aff751bee6bc3e22",
+            "bd645f22f25827d5aa21c9bacb9b1b712c5f017282fb9da289371740228104ec",
+            "eae603a3307f33747a7fb977026afd9c6eac9a39f09bd2fdfb68a3a150145621",
         ),
         "full": (
-            "5e0f3cb7e4900d0ebc06d52cc52941b6d9cc7c9fc8bf6d5cd48813667a0ede50",
-            "7f9884f66f91c2c5fcd5f3033b9815b6919084d0a4687b8a6da7ece1d99615ea",
+            "12eb77c215193a3b3382736430ad341269051ab614e19f73ed93106af6e95aee",
+            "9b9804d5b770a752a26238a8a676b658627fef6aadf378dc91b81fba9d512524",
         ),
     }
     # the policy traces do not depend on the eval mode
@@ -403,6 +415,8 @@ class TestGoldenOutputs:
         "aetc-d-no_B1000_r1.jsonl": "c7756d69524feb9abe25bda75adec5f8967bf71897d0a3da0284f750901d0b4b",
         "aetc-d-no_B300_r0.jsonl": "6cbf5d621561e66f8bf6f65c1542d7e4ab34caa3f5b587875ff7d67e4f01e494",
         "aetc-d-no_B300_r1.jsonl": "c49fa089529f758f1a75f3e4773feaebea20154565b47648994a9af007c91b78",
+        "aetc-d-q_B1000_r0.jsonl": "256f21252891cfafeb3707b3d52213dc8398cba9a2d4cdc9dafb15a0bba2dce6",
+        "aetc-d-q_B1000_r1.jsonl": "ca24c8c5567189e82b6f8a6ac61ef0a9ce553b8b95d66392b4ca1367e40997da",
         "aetc-d-q_B300_r0.jsonl": "31f3f70a7bee6a3627ff89516e4c2ddc1a69e36f1e11e5ea79c9a23bdd562f61",
         "aetc-d-q_B300_r1.jsonl": "09a06b36cb19b29cd8e35c4a7da3426f5ebfd209b0b15c5560a343bfce147e41",
         "aetc-d_B1000_r0.jsonl": "3f73f81e08a922879e4e7763841bfa528efb1c89a26cd5b74cf2caba350eb07c",
@@ -424,6 +438,44 @@ class TestGoldenOutputs:
         assert (sha(out / "results.csv"), sha(out / "summary.csv")) == self.RESULTS[mode]
         traces = {p.name: sha(p) for p in (out / "trace").glob("*.jsonl")}
         assert traces == self.TRACES
+
+
+class TestQuantileVariantCompletes:
+    """Cells whose pinball fits used to fail the solver's subgradient check or
+    stop with an unknown LP status now complete."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_perfect_suite_seeds(self, seed):
+        raw = {
+            "suite": {"name": "ishigami-perfect"},
+            "methods": ["aetc-d-q"],
+            "budgets": [1000, 10000],
+            "replicates": 1,
+            "seed": seed,
+            "eval": "sampled",
+            "eval_samples": 100,
+            "oracle_samples": 10000,
+        }
+        rows, _ = run_experiment(ExperimentConfig.from_dict(raw))
+        assert [r.error for r in rows] == ["", ""]
+
+    @pytest.mark.parametrize("budget_idx,replicate", [(0, 18), (1, 2), (1, 8)])
+    def test_approx_suite_cells(self, budget_idx, replicate):
+        from mfdist.bench import _run_cell
+
+        raw = {
+            "suite": {"name": "ishigami-approx"},
+            "methods": ["aetc-d-q"],
+            "budgets": [1000, 10000],
+            "replicates": 20,
+            "seed": 3,
+            "eval": "full",
+            "oracle_samples": 10000,
+        }
+        config = ExperimentConfig.from_dict(raw)
+        suite = config.build_suite()
+        row = _run_cell(config, suite, build_oracle_measure(config, suite), 0, budget_idx, replicate)
+        assert row.error == "" and np.isfinite(row.w1_error)
 
 
 class TestTableSuiteEquivalence:

@@ -10,7 +10,7 @@ from mfdist.regress import (
     quantile_fit,
 )
 
-from oracles import ols_normal_equations_mp
+from oracles import ols_normal_equations_mp, pinball_primal_lp
 
 
 class TestOlsFit:
@@ -180,3 +180,112 @@ class TestQuantileFit:
             quantile_fit(Z, y, [0.5, 0.5])
         with pytest.raises(ValueError):
             quantile_fit(Z, y, [0.0, 0.5])
+
+
+class TestQuantileFitAgainstPrimalLP:
+    """The basis walk against an independent primal LP on each level: its
+    objective is no worse than the LP's and the certificate holds.
+
+    Where the argmin is an interval (intercept-only designs at integral
+    tau * rows), the tie-break's LP answers within a 1e-9 relative slack of
+    the optimum and about 1e-8 off the face's end, so those checks allow that
+    slack and count residuals that small as zero.
+    """
+
+    TAUS = [0.02, 0.1, 0.25, 0.5, 0.5 + 1e-9, 0.77, 0.9, 0.98]
+
+    @staticmethod
+    def check(Z, y, taus, ties=False):
+        slack, zero_tol = (1e-8, 1e-7) if ties else (1e-12, 1e-9)
+        qf = quantile_fit(Z, y, taus)
+        for tau, beta in zip(qf.taus, qf.betas):
+            v = mean_pinball(Z, y, tau, beta)
+            _, v_lp = pinball_primal_lp(Z, y, tau)
+            assert v <= v_lp + slack * (1.0 + abs(v_lp)), (tau, v, v_lp)
+            margin = pinball_subgradient_margin(Z, y, tau, beta, zero_tol=zero_tol)
+            assert margin >= -1e-7 * (1.0 + abs(v))
+        return qf
+
+    @pytest.mark.parametrize("cols", range(1, 8))
+    def test_random_designs(self, cols):
+        rng = np.random.default_rng(100 + cols)
+        for rows in (cols + 1, 3 * cols, 80):
+            Z = design_matrix(rng.normal(size=(rows, cols - 1)))
+            y = Z @ rng.normal(size=cols) + rng.standard_t(2, size=rows)
+            self.check(Z, y, self.TAUS, ties=cols == 1)
+
+    def test_scaled_and_heteroscedastic(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 2.0, size=(300, 3))
+        y = 1e4 * x[:, 0] * (1.0 + rng.uniform(-1.0, 1.0, 300)) + 1e6
+        self.check(design_matrix(x), y, np.arange(1, 101) / 101.0)
+
+    @pytest.mark.parametrize("cols", [2, 4])
+    def test_duplicate_heavy_bootstraps(self, cols):
+        # 400 draws of 40 distinct rows, as table suites produce
+        rng = np.random.default_rng(200 + cols)
+        Z0 = design_matrix(rng.normal(size=(40, cols - 1)))
+        y0 = Z0 @ rng.normal(size=cols) + rng.normal(size=40)
+        idx = rng.integers(0, 40, size=400)
+        self.check(Z0[idx], y0[idx], self.TAUS)
+
+    def test_discrete_design_with_repeated_responses(self):
+        # many rows share a fitted hyperplane exactly: degenerate vertices
+        rng = np.random.default_rng(31)
+        Z = design_matrix(rng.integers(0, 3, size=(120, 2)).astype(float))
+        y = rng.integers(0, 4, size=120).astype(float)
+        self.check(Z, y, self.TAUS)
+
+    def test_exact_fits(self):
+        rng = np.random.default_rng(41)
+        Z = design_matrix(rng.integers(-8, 9, size=(60, 3)).astype(float))
+        beta = np.array([0.5, -2.0, 0.25, 1.0])
+        y = Z @ beta  # dyadic: every residual is exactly zero at beta
+        qf = self.check(Z, y, self.TAUS)
+        assert np.allclose(qf.betas, beta, rtol=0.0, atol=1e-12)
+        # half the rows on the plane, half off it
+        y_half = y.copy()
+        y_half[::2] += rng.normal(size=30)
+        self.check(Z, y_half, self.TAUS)
+
+    def test_partially_exact_integer_designs(self):
+        # two thirds of the rows lie exactly on one hyperplane: many zero
+        # residuals off the basis at once, where a walk that counts them
+        # one-sidedly cycles or stops short (6 of these 240 designs); the
+        # integer designs also have tied levels
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            cols = 2 + seed % 4
+            Z = design_matrix(rng.integers(-4, 5, size=(60, cols - 1)).astype(float))
+            y = Z @ rng.integers(-3, 4, size=cols) * 0.5
+            y[::3] += rng.normal(size=20)
+            self.check(Z, y, self.TAUS, ties=True)
+
+    def test_intercept_only_ties(self):
+        # repeated values and levels at k/m, where the argmin is an interval
+        y = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 4.0, 2.0])
+        Z = design_matrix(np.zeros((10, 0)))
+        taus = np.arange(1, 20) / 20.0
+        qf = self.check(Z, y, taus, ties=True)
+        ordered = np.sort(y)
+        # the lower end of the argmin interval: the ceil(tau*m)-th value
+        expected = ordered[np.ceil(taus * 10 - 1e-9).astype(int) - 1]
+        assert np.allclose(qf.betas[:, 0], expected, atol=1e-7)
+
+
+class TestQuantileFitRankDeficient:
+    @pytest.mark.parametrize("extra", ["copy", "affine"])
+    def test_dependent_column(self, extra):
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(70, 2))
+        y = x @ np.array([1.0, -0.5]) + rng.standard_t(3, size=70)
+        full = design_matrix(x)
+        dependent = x[:, :1] if extra == "copy" else 2.0 * x[:, :1] - 1.0
+        Z = np.hstack([full, dependent])
+        taus = [0.1, 0.5, 0.9]
+        qf = quantile_fit(Z, y, taus)
+        reference = quantile_fit(full, y, taus)
+        for tau, beta, ref in zip(qf.taus, qf.betas, reference.betas):
+            v = mean_pinball(Z, y, tau, beta)
+            assert v == pytest.approx(mean_pinball(full, y, tau, ref), rel=1e-12, abs=1e-15)
+            assert pinball_subgradient_margin(Z, y, tau, beta) >= -1e-7 * (1.0 + abs(v))
