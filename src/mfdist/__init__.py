@@ -36,7 +36,6 @@ from .models import (
     table_suite,
 )
 from .policy import (
-    Emulator,
     PolicyState,
     SubsetScore,
     aetc_d_step,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EmpiricalMeasure",
-    "Emulator",
     "ExperimentConfig",
     "FeatureMap",
     "FitResult",

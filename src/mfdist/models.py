@@ -224,32 +224,82 @@ def _blank_unasked(x: np.ndarray, models: tuple[int, ...]) -> np.ndarray:
 
 
 def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> Sampler:
+    # Powers are products (z^4 = (z*z)^2, sin^3 = (s*s)*s), not libm pow, and
+    # every term is built in one of three reused buffers with in-place ufuncs,
+    # so a draw holds at most the uniforms, x and three rows of scratch.  Each
+    # output is its terms summed left to right,
+    #   Y = s1 + a s2^2 + b z3^4 s1 + c s4^3 + d s5^4,
+    # and swapping the operands of one add or multiply is exact, so every
+    # request computes the joint draw's values bit for bit.
     def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
         z = rng.uniform(-np.pi, np.pi, size=(size, 5))
-        s1 = np.sin(z[:, 0])
-        s2sq = np.sin(z[:, 1]) ** 2
         y = None
         x = _blank_unasked(np.empty((size, 2)), models) if models[-1] > 0 else None
+        s1 = np.sin(z[:, 0])
+        s2sq = np.sin(z[:, 1])
+        s2sq *= s2sq
+        term = np.empty(size)
         if variant == "perfect":
-            # Y's terms summed left to right; X2 and X1 are its partial sums,
-            # so no term is computed twice
-            part = s1 + a * s2sq + b * z[:, 2] ** 4 * s1
+            # X2 and X1 are partial sums of Y, so no term is computed twice;
+            # the sum is built in s2sq's buffer
+            part = s2sq
+            part *= a
+            part += s1
+            np.multiply(z[:, 2], z[:, 2], out=term)
+            term *= term
+            term *= b
+            term *= s1
+            part += term
             if 2 in models:
                 x[:, 1] = part
             if models[0] <= 1:
-                part += c * np.sin(z[:, 3]) ** 3
+                np.sin(z[:, 3], out=term)
+                cube = np.multiply(term, term, out=s1)
+                cube *= term
+                cube *= c
+                part += cube
                 if 1 in models:
                     x[:, 0] = part
                 if models[0] == 0:
-                    y = part + d * np.sin(z[:, 4]) ** 4
+                    np.sin(z[:, 4], out=term)
+                    term *= term
+                    term *= term
+                    term *= d
+                    part += term
+                    y = part
             return y, x
-        z3q = z[:, 2] ** 4 if models[0] <= 1 else None
-        if models[0] == 0:
-            y = s1 + a * s2sq + b * z3q * s1 + c * np.sin(z[:, 3]) ** 3 + d * np.sin(z[:, 4]) ** 4
-        if 1 in models:
-            x[:, 0] = s1 + 0.95 * a * s2sq + b * z3q * s1
         if 2 in models:
-            x[:, 1] = s1 + 0.6 * a * s2sq + 9.0 * b * z[:, 2] ** 2 * s1
+            np.multiply(z[:, 2], z[:, 2], out=term)
+            term *= 9.0 * b
+            term *= s1
+            np.multiply(s2sq, 0.6 * a, out=x[:, 1])
+            x[:, 1] += s1
+            x[:, 1] += term
+        if models[0] <= 1:
+            # b z3^4 s1 is the same term in Y and X1
+            np.multiply(z[:, 2], z[:, 2], out=term)
+            term *= term
+            term *= b
+            term *= s1
+            if 1 in models:
+                np.multiply(s2sq, 0.95 * a, out=x[:, 0])
+                x[:, 0] += s1
+                x[:, 0] += term
+            if models[0] == 0:
+                y = s2sq
+                y *= a
+                y += s1
+                y += term
+                np.sin(z[:, 3], out=term)
+                cube = np.multiply(term, term, out=s1)
+                cube *= term
+                cube *= c
+                y += cube
+                np.sin(z[:, 4], out=term)
+                term *= term
+                term *= term
+                term *= d
+                y += term
         return y, x
 
     return sample

@@ -25,13 +25,11 @@ from .models import ModelSuite
 from .regress import FitResult, QuantileFit, design_matrix, ols_fit, quantile_fit
 
 __all__ = [
-    "Emulator",
     "PolicyState",
     "SubsetScore",
     "aetc_d_step",
     "efficiency_ratio",
     "exploit",
-    "max_exploration_rounds",
     "next_round_target",
     "optimal_exploration",
     "optimal_loss_value",
@@ -120,18 +118,16 @@ def efficiency_ratio(
     j0_y: float,
     cost_y: float,
     c_epr: float,
-    budget: float = 1.0,
 ) -> float:
     """Diagnostic ratio of the direct-sampling error lower bound to the
     surrogate-policy optimum; values above 1 favor the multifidelity policy.
 
-    Both sides scale as 1/sqrt(B), so the result does not depend on
-    ``budget`` (kept as an argument only to mirror the defining formula).
+    Both sides scale as 1/sqrt(B), so the ratio is taken at B = 1.
     """
-    if min(k1_opt, k2_opt, j0_y, cost_y, c_epr, budget) <= 0:
+    if min(k1_opt, k2_opt, j0_y, cost_y, c_epr) <= 0:
         raise ValueError("all arguments must be positive")
-    numerator = np.sqrt(cost_y * j0_y**2 / (2.0 * budget))
-    return float(numerator / optimal_loss_value(k1_opt, k2_opt, budget, c_epr))
+    numerator = np.sqrt(cost_y * j0_y**2 / 2.0)
+    return float(numerator / optimal_loss_value(k1_opt, k2_opt, 1.0, c_epr))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +178,6 @@ class PolicyState:
     @property
     def t(self) -> int:
         return int(self.y_epr.size)
-
-
-def max_exploration_rounds(suite: ModelSuite, budget: float) -> int:
-    return int(np.floor(budget / suite.c_epr))
 
 
 def start_exploration(
@@ -300,7 +292,7 @@ def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator)
     if state.phase != EXPLORING:
         raise PolicyError(f"cannot step a policy in phase {state.phase!r}")
     t = state.t
-    M = max_exploration_rounds(suite, state.budget)
+    M = int(np.floor(state.budget / suite.c_epr))
     scores = score_subsets(state, suite)
     best = _argmin_rho(scores)
     if best is None:
@@ -377,7 +369,7 @@ def _take_samples(
 
 
 @dataclass(frozen=True)
-class Emulator:
+class _Emulator:
     """Frozen regression emulator used during exploitation.
 
     ``residual_pool`` holds the exploration residuals for bootstrap noise
@@ -394,7 +386,7 @@ class Emulator:
 
 def _build_emulator(
     state: PolicyState, suite: ModelSuite, variant: str
-) -> Emulator:
+) -> _Emulator:
     assert state.chosen is not None
     subset = state.chosen
     Z = design_matrix(suite.features(subset, state.x_epr))
@@ -402,11 +394,11 @@ def _build_emulator(
     if variant == "quantile":
         k = QUANTILE_GRID_SIZE
         taus = np.arange(1, k + 1) / (k + 1.0)
-        return Emulator(
+        return _Emulator(
             subset=subset, beta_hat=fit.beta_hat, variant=variant,
             quantiles=quantile_fit(Z, state.y_epr, taus),
         )
-    return Emulator(
+    return _Emulator(
         subset=subset, beta_hat=fit.beta_hat, variant=variant,
         residual_pool=fit.residuals,
     )

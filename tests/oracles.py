@@ -116,6 +116,29 @@ def moments_float_powers(atoms, weights) -> tuple[float, float, float, float]:
     return mean, m2 / (1.0 - float(w @ w)), m3 / m2**1.5, m4 / m2**2
 
 
+def ishigami_terms_float_powers(z, variant, a, b, c, d) -> dict[int, list[np.ndarray]]:
+    """Terms of Y, X1 and X2 of the Ishigami suites, powers taken with ``**``.
+
+    ``z`` is the (size, 5) Unif(-pi, pi) draw.  Returns ``{model: terms}``
+    (0 for Y, i for Xi) with each output's terms in the order the samplers
+    sum them.  Summed left to right they give the formula with libm ``pow``
+    for ``z**4``, ``sin**3`` and ``sin**4``, which the samplers replace by
+    products.
+    """
+    s1 = np.sin(z[:, 0])
+    s2sq = np.sin(z[:, 1]) ** 2
+    t3 = b * z[:, 2] ** 4 * s1
+    t4 = c * np.sin(z[:, 3]) ** 3
+    t5 = d * np.sin(z[:, 4]) ** 4
+    if variant == "perfect":
+        return {0: [s1, a * s2sq, t3, t4, t5], 1: [s1, a * s2sq, t3, t4], 2: [s1, a * s2sq, t3]}
+    return {
+        0: [s1, a * s2sq, t3, t4, t5],
+        1: [s1, 0.95 * a * s2sq, t3],
+        2: [s1, 0.6 * a * s2sq, 9.0 * b * z[:, 2] ** 2 * s1],
+    }
+
+
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Golden-section search for the minimizer of a unimodal function."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -401,28 +401,28 @@ class TestGoldenOutputs:
     }
     RESULTS = {
         "sampled": (
-            "bd645f22f25827d5aa21c9bacb9b1b712c5f017282fb9da289371740228104ec",
-            "eae603a3307f33747a7fb977026afd9c6eac9a39f09bd2fdfb68a3a150145621",
+            "09d2b5a461470709542f62bc165945ead1341a0c3d31d5beee0e48f6c6a0fdf5",
+            "3c5c7cbcb94a0d2e78be37db6c09c5ccac4df215f4d1a19114969cffdc23b4be",
         ),
         "full": (
-            "12eb77c215193a3b3382736430ad341269051ab614e19f73ed93106af6e95aee",
-            "9b9804d5b770a752a26238a8a676b658627fef6aadf378dc91b81fba9d512524",
+            "e27a9976fe949c03cc4cb29d021d78c1a56747959a39202c87200cd1ffdffd47",
+            "654441371713db92714b80550603b7c2ddf01dda68a5d62ddf3398eb45863061",
         ),
     }
     # the policy traces do not depend on the eval mode
     TRACES = {
-        "aetc-d-no_B1000_r0.jsonl": "fb91af6b0c3211f311297bd25bd7710ebb7bcb0369db5ee9f4d4e5abaad5d8cd",
-        "aetc-d-no_B1000_r1.jsonl": "c7756d69524feb9abe25bda75adec5f8967bf71897d0a3da0284f750901d0b4b",
-        "aetc-d-no_B300_r0.jsonl": "6cbf5d621561e66f8bf6f65c1542d7e4ab34caa3f5b587875ff7d67e4f01e494",
-        "aetc-d-no_B300_r1.jsonl": "c49fa089529f758f1a75f3e4773feaebea20154565b47648994a9af007c91b78",
-        "aetc-d-q_B1000_r0.jsonl": "256f21252891cfafeb3707b3d52213dc8398cba9a2d4cdc9dafb15a0bba2dce6",
-        "aetc-d-q_B1000_r1.jsonl": "ca24c8c5567189e82b6f8a6ac61ef0a9ce553b8b95d66392b4ca1367e40997da",
-        "aetc-d-q_B300_r0.jsonl": "31f3f70a7bee6a3627ff89516e4c2ddc1a69e36f1e11e5ea79c9a23bdd562f61",
-        "aetc-d-q_B300_r1.jsonl": "09a06b36cb19b29cd8e35c4a7da3426f5ebfd209b0b15c5560a343bfce147e41",
-        "aetc-d_B1000_r0.jsonl": "3f73f81e08a922879e4e7763841bfa528efb1c89a26cd5b74cf2caba350eb07c",
-        "aetc-d_B1000_r1.jsonl": "b8675537d29ed91b3efe023c9c35f874878b12520017353675a6463b63b31779",
-        "aetc-d_B300_r0.jsonl": "93945b5e02dff5d74019cb88c047d3816708a5c4174633b452f13b48b725c576",
-        "aetc-d_B300_r1.jsonl": "4e79d51556ed15406e0a0bee48215910a9f9dcc210f60edda814b8cac27f76ee",
+        "aetc-d-no_B1000_r0.jsonl": "7690dc99f26a1a30bb4ace891adc1b41bb92109101027a150f7aa904842d23d1",
+        "aetc-d-no_B1000_r1.jsonl": "1e6529c962dbdbd2f45c085a62a6c2e57bd3862abecfd8712616401314d19b43",
+        "aetc-d-no_B300_r0.jsonl": "92f939babd72bbc99e4c6ac03cdb96d42aa99c29551a331b1a8e43fc5e0977b0",
+        "aetc-d-no_B300_r1.jsonl": "6ae339a08e27eebe1055956d843b0d36d68a35657c7a7535eb717234f23d977d",
+        "aetc-d-q_B1000_r0.jsonl": "9000e0aaa3536c9068f13672752ea4895114f8d2ea2c4f83ecd6eec9c50951c1",
+        "aetc-d-q_B1000_r1.jsonl": "2e421621dc62ac2ca7f1ad74a37658817e24a188a47414fe15d9c7819f497ae7",
+        "aetc-d-q_B300_r0.jsonl": "67346fbd4f361306b8a726e3c2edf71ccf4eafdc6bcf6caa3f6addbacd1c2c88",
+        "aetc-d-q_B300_r1.jsonl": "cab4129531c18a4a6a621ada57768fd7b7fa4486b4c1a89d4480d84552b87c25",
+        "aetc-d_B1000_r0.jsonl": "fee3f4a22c3b792db5cd9b849f1d8ca0f148813ea07e732a292a01ff0501587d",
+        "aetc-d_B1000_r1.jsonl": "6231ea0535e645df324400ab3436a2679b9744c0094a05e9b2c96114f7549db1",
+        "aetc-d_B300_r0.jsonl": "2f924f0e2351fc3cdc44276a460c1fcb6ad3f63afe6770acb58c44e8bea23464",
+        "aetc-d_B300_r1.jsonl": "4b6894e3fc59efd4b97137058ca5fa70a17c6b926d226d128a3ba4cee75d8efc",
     }
 
     @pytest.mark.parametrize("mode", ["sampled", "full"])

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from mfdist.models import (
     suite_from_config,
     table_suite,
 )
+
+from oracles import ishigami_terms_float_powers
 
 
 class TestSubsetEnumeration:
@@ -87,10 +91,32 @@ class TestSubsetDraws:
     """A request for some models returns the joint draw's columns bit for bit
     and leaves the generator where the joint draw leaves it."""
 
+    # the samplers reuse scratch buffers, and a wrong reuse shows only where
+    # the term it clobbers is nonzero: c, d, negative a, b and b = 0 too
     @pytest.mark.parametrize(
         "suite",
-        [ishigami_suite("perfect"), ishigami_suite("approx"), _bootstrap_table_suite()],
-        ids=["ishigami-perfect", "ishigami-approx", "table"],
+        [
+            ishigami_suite("perfect"),
+            ishigami_suite("approx"),
+            ishigami_suite("perfect", c=-2.0, d=0.0),
+            ishigami_suite("approx", c=0.7, d=-0.3),
+            ishigami_suite("perfect", a=-3.0, b=-0.2),
+            ishigami_suite("approx", a=-5.0, b=-0.1, c=0.7, d=-0.3),
+            ishigami_suite("perfect", b=0.0),
+            ishigami_suite("approx", b=0.0, c=0.7, d=-0.3),
+            _bootstrap_table_suite(),
+        ],
+        ids=[
+            "ishigami-perfect",
+            "ishigami-approx",
+            "perfect-c-2-d0",
+            "approx-c0.7-d-0.3",
+            "perfect-negative-a-b",
+            "approx-negative-a-b",
+            "perfect-b0",
+            "approx-b0",
+            "table",
+        ],
     )
     def test_requests_match_the_joint_draw(self, suite):
         reference = np.random.default_rng(23)
@@ -136,6 +162,64 @@ class TestSubsetDraws:
         assert x.shape == (4, 1)
         with pytest.raises(ValueError, match="shape"):
             suite.draw(np.random.default_rng(0), 4)
+
+
+class TestIshigamiProducts:
+    """The samplers take powers as products, not with ``**``.  Against the
+    ``**`` formula each value is within a few roundings of the sum of its
+    terms' magnitudes; a bound in max(1, |v|) cannot hold where terms cancel."""
+
+    ROWS = 200_000
+    EPS = np.finfo(np.float64).eps
+
+    @classmethod
+    def within_bound(cls, value, terms):
+        """|value - (terms summed left to right)| <= 4 eps sum|term|, per element."""
+        scale = reduce(np.add, [np.abs(t) for t in terms])
+        return bool(np.all(np.abs(value - reduce(np.add, terms)) <= 4.0 * cls.EPS * scale))
+
+    @pytest.mark.parametrize(
+        "variant,a,b,c,d",
+        [
+            ("perfect", 5.0, 0.1, 1.0, 0.1),
+            ("approx", 5.0, 0.1, 0.0, 0.0),
+            ("perfect", -3.0, -0.2, -2.0, 0.0),
+            ("approx", 5.0, 0.1, 0.7, -0.3),
+        ],
+    )
+    def test_against_float_powers(self, variant, a, b, c, d):
+        suite = ishigami_suite(variant, a=a, b=b, c=c, d=d)
+        y, x = suite.draw(np.random.default_rng(31), self.ROWS)
+        z = np.random.default_rng(31).uniform(-np.pi, np.pi, size=(self.ROWS, 5))
+        terms = ishigami_terms_float_powers(z, variant, a, b, c, d)
+        for model, value in {0: y, 1: x[:, 0], 2: x[:, 1]}.items():
+            assert self.within_bound(value, terms[model]), model
+            # the bound is tight enough to see any one term off by 1e-13
+            for k, term in enumerate(terms[model]):
+                if np.any(term != 0.0):
+                    scaled = terms[model][:k] + [term * (1.0 + 1e-13)] + terms[model][k + 1:]
+                    assert not self.within_bound(reduce(np.add, scaled), terms[model]), (model, k)
+
+
+class TestDrawMemory:
+    """A draw holds the (size, 5) uniforms, x and three scratch rows at most."""
+
+    ROWS = 100_000
+
+    @pytest.mark.parametrize("variant", ["perfect", "approx"])
+    def test_peak_is_at_most_ten_floats_a_row(self, variant):
+        suite = ishigami_suite(variant)
+        for models in [(0,)] + all_subsets(suite.n) + [(0, 1, 2)]:
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                suite.draw(rng, self.ROWS, models)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 * 8 * self.ROWS + 64 * 1024, (models, peak / (8 * self.ROWS))
 
 
 class TestFeatureExpansion:
