@@ -74,16 +74,16 @@ SUMMARY_COLUMNS = ["method", "budget", "mean", "q05", "q50", "q95", "failures"]
 # Configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "suite",
-    "methods",
-    "budgets",
-    "replicates",
-    "eval_samples",
-    "oracle_samples",
-    "seed",
-    "eval",
-    "fixed_subset",
+# JSON value -> ExperimentConfig field, for every key but "suite"
+_CONFIG_FIELDS = {
+    "methods": tuple,
+    "budgets": lambda v: tuple(float(b) for b in v),
+    "replicates": int,
+    "eval_samples": int,
+    "oracle_samples": int,
+    "seed": int,
+    "eval": str,
+    "fixed_subset": lambda v: tuple(int(i) for i in v),
 }
 
 
@@ -141,29 +141,20 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("experiment config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {"suite", *_CONFIG_FIELDS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("suite", "methods", "budgets"):
             if key not in raw:
                 raise ConfigError(f"config is missing required key {key!r}")
-        kwargs: dict = {
-            "suite_spec": raw["suite"],
-            "methods": tuple(raw["methods"]),
-            "budgets": tuple(float(b) for b in raw["budgets"]),
-        }
-        if "replicates" in raw:
-            kwargs["replicates"] = int(raw["replicates"])
-        if "eval_samples" in raw:
-            kwargs["eval_samples"] = int(raw["eval_samples"])
-        if "oracle_samples" in raw:
-            kwargs["oracle_samples"] = int(raw["oracle_samples"])
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "eval" in raw:
-            kwargs["eval"] = str(raw["eval"])
-        if "fixed_subset" in raw:
-            kwargs["fixed_subset"] = tuple(int(i) for i in raw["fixed_subset"])
+        kwargs: dict = {"suite_spec": raw["suite"]}
+        for key, value in raw.items():
+            if key == "suite":
+                continue
+            try:
+                kwargs[key] = _CONFIG_FIELDS[key](value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"config key {key!r} has an invalid value {value!r}") from None
         return cls(**kwargs)
 
     @classmethod
@@ -172,7 +163,14 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def build_suite(self) -> ModelSuite:
-        return suite_from_config(self.suite_spec)
+        """The configured suite; ``fixed_subset`` must be one of its subsets."""
+        suite = suite_from_config(self.suite_spec)
+        if self.fixed_subset is not None and self.fixed_subset not in suite.subsets():
+            raise ConfigError(
+                f"fixed_subset must list distinct model indices in 1..{suite.n} in "
+                f"increasing order, got {list(self.fixed_subset)}"
+            )
+        return suite
 
 
 @dataclass
@@ -380,22 +378,17 @@ def _run_cell(
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    threads: int = 1,
-    oracle: EmpiricalMeasure | None = None,
-    keep_atoms: bool = False,
+    config: ExperimentConfig, threads: int = 1, keep_atoms: bool = False
 ) -> tuple[list[ResultRow], list[dict]]:
     """Run every (method, budget, replicate) cell and summarize.
 
     Returns the rows (sorted by method, budget, replicate) and the summary
     records.  Failed replicates are tagged, excluded from means, and counted
-    in the summary's ``failures`` column.  ``oracle`` may be passed in to
-    share one oracle measure across related experiments.  Estimate atoms are
-    retained on the rows only with ``keep_atoms`` (they can be large).
+    in the summary's ``failures`` column.  Estimate atoms are retained on the
+    rows only with ``keep_atoms`` (they can be large).
     """
     suite = config.build_suite()
-    if oracle is None:
-        oracle = build_oracle_measure(config, suite)
+    oracle = build_oracle_measure(config, suite)
     return _run_cells(config, suite, oracle, threads, keep_atoms)
 
 

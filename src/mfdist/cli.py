@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .bench import (
     write_summary_csv,
     write_traces,
 )
-from .errors import MfdistError
+from .errors import ConfigError, MfdistError
 from .models import suite_from_config
 from .policy import efficiency_ratio, optimal_exploration, oracle_optimum, pilot_statistics
 
@@ -40,23 +41,15 @@ def _load_json(path: str) -> dict:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "eval", None) is not None:
-        updates["eval"] = args.eval
-    return replace(config, **updates) if updates else config
+    flags = ("seed", "eval")
+    return replace(config, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
 
 
-def _write_outputs(rows, summary, out_dir: Path, dump_samples: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(rows, out_dir / "results.csv")
-    write_summary_csv(summary, out_dir / "summary.csv")
-    write_traces(rows, out_dir / "trace")
-    if dump_samples:
-        write_samples(rows, out_dir / "samples")
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _print_summary(summary) -> None:
@@ -69,29 +62,37 @@ def _print_summary(summary) -> None:
         )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(ExperimentConfig.from_json(args.config), args)
+def _run_and_write(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    config = _apply_overrides(config, args)
     rows, summary = run_experiment(
         config, threads=args.threads, keep_atoms=args.dump_samples
     )
-    _write_outputs(rows, summary, Path(args.out), args.dump_samples)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # every output is a new file, so trace/ and samples/ hold only this run's
+    # files; creating a file is also far cheaper than truncating one
+    for stale in (out_dir / "results.csv", out_dir / "summary.csv",
+                  *out_dir.glob("trace/*.jsonl"), *out_dir.glob("samples/*.csv")):
+        stale.unlink(missing_ok=True)
+    write_results_csv(rows, out_dir / "results.csv")
+    write_summary_csv(summary, out_dir / "summary.csv")
+    write_traces(rows, out_dir / "trace")
+    if args.dump_samples:
+        write_samples(rows, out_dir / "samples")
     _print_summary(summary)
     return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return _run_and_write(ExperimentConfig.from_json(args.config), args)
 
 
 def _cmd_fixed_m(args: argparse.Namespace) -> int:
     raw = _load_json(args.config)
-    grid = [int(v) for v in args.m_grid.split(",")]
-    raw["methods"] = [f"fixed-m:{m}" for m in grid]
+    raw["methods"] = [f"fixed-m:{m}" for m in _int_list(args.m_grid, "--m-grid")]
     if args.subset:
-        raw["fixed_subset"] = [int(v) for v in args.subset.split(",")]
-    config = _apply_overrides(ExperimentConfig.from_dict(raw), args)
-    rows, summary = run_experiment(
-        config, threads=args.threads, keep_atoms=args.dump_samples
-    )
-    _write_outputs(rows, summary, Path(args.out), args.dump_samples)
-    _print_summary(summary)
-    return 0
+        raw["fixed_subset"] = _int_list(args.subset, "--subset")
+    return _run_and_write(ExperimentConfig.from_dict(raw), args)
 
 
 def _cmd_fit_curve(args: argparse.Namespace) -> int:
@@ -181,23 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mfdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a full experiment config")
-    run.add_argument("--config", required=True)
-    run.add_argument("--out", required=True)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threads", type=int, default=1)
-    run.add_argument("--eval", choices=("sampled", "full"), default=None)
+    # the experiment flags shared by run, fixed-m and stats
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", required=True)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--eval", choices=("sampled", "full"), default=None)
+
+    run = sub.add_parser("run", parents=[common], help="run a full experiment config")
     run.add_argument("--dump-samples", action="store_true")
     run.set_defaults(func=_cmd_run)
 
-    fixed = sub.add_parser("fixed-m", help="sweep fixed exploration rates")
-    fixed.add_argument("--config", required=True)
+    fixed = sub.add_parser("fixed-m", parents=[common], help="sweep fixed exploration rates")
     fixed.add_argument("--m-grid", required=True, help="comma-separated rates, e.g. 10,30,50")
     fixed.add_argument("--subset", default=None, help="comma-separated model indices")
-    fixed.add_argument("--out", required=True)
-    fixed.add_argument("--seed", type=int, default=None)
-    fixed.add_argument("--threads", type=int, default=1)
-    fixed.add_argument("--eval", choices=("sampled", "full"), default=None)
     fixed.add_argument("--dump-samples", action="store_true")
     fixed.set_defaults(func=_cmd_fixed_m)
 
@@ -213,12 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--seed", type=int, default=0)
     oracle.set_defaults(func=_cmd_oracle)
 
-    stats = sub.add_parser("stats", help="moment-statistics MSE comparison")
-    stats.add_argument("--config", required=True)
-    stats.add_argument("--out", required=True)
-    stats.add_argument("--seed", type=int, default=None)
-    stats.add_argument("--threads", type=int, default=1)
-    stats.add_argument("--eval", choices=("sampled", "full"), default=None)
+    stats = sub.add_parser("stats", parents=[common], help="moment-statistics MSE comparison")
     stats.set_defaults(func=_cmd_stats)
 
     return parser

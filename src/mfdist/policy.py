@@ -22,7 +22,7 @@ from .errors import (
 )
 from .measures import EmpiricalMeasure, j_functionals
 from .models import ModelSuite
-from .regress import FitResult, QuantileFit, design_matrix, ols_fit, quantile_fit
+from .regress import FitResult, design_matrix, ols_fit, quantile_fit
 
 __all__ = [
     "PolicyState",
@@ -137,10 +137,14 @@ def efficiency_ratio(
 
 @dataclass(frozen=True)
 class SubsetScore:
-    """Exploration-time statistics of one candidate subset."""
+    """Exploration-time statistics of one candidate subset.
+
+    ``rank_ok`` is False when the design has too few rows to fit or is
+    rank-deficient.
+    """
 
     subset: tuple[int, ...]
-    fit: FitResult
+    rank_ok: bool
     k1_hat: float
     k2_hat: float
     m_star_hat: float
@@ -195,6 +199,12 @@ def start_exploration(
     return PolicyState(budget=budget, y_epr=y, x_epr=x, spent=cost)
 
 
+def _k1(fit: FitResult, dim: int) -> float:
+    """Regression-error constant of a fit with dimension term sqrt(dim)."""
+    _, j1_eps = j_functionals(EmpiricalMeasure.from_samples(fit.residuals))
+    return (2.0 * np.sqrt(dim) * np.sqrt(fit.sigma2_hat) + j1_eps) ** 2
+
+
 def _subset_score(
     suite: ModelSuite,
     subset: tuple[int, ...],
@@ -206,42 +216,28 @@ def _subset_score(
     t = y.size
     Z = design_matrix(suite.features(subset, x))
     cols = Z.shape[1]
-    ineligible = SubsetScore(
-        subset=subset,
-        fit=FitResult(np.full(cols, np.nan), np.full(t, np.nan), np.nan, False),
-        k1_hat=np.nan,
-        k2_hat=np.nan,
-        m_star_hat=np.nan,
-        rho=np.inf,
-        eligible=False,
-    )
-    if t <= cols:
-        return ineligible
-    fit = ols_fit(Z, y)
-    _, j1_eps = j_functionals(EmpiricalMeasure.from_samples(fit.residuals))
-    scale = max(1.0, float(np.max(np.abs(y))))
-    if float(np.max(np.abs(fit.residuals))) <= _ZERO_RESIDUAL_RTOL * scale:
-        k1 = 0.0
-    else:
-        # the online estimate inflates the dimension term by one column
-        k1 = (2.0 * np.sqrt(cols + 1.0) * np.sqrt(fit.sigma2_hat) + j1_eps) ** 2
-    k2 = suite.c_ept(subset) * j1_y**2
-    eligible = fit.rank_ok and k1 > 0.0
-    if not eligible:
-        return SubsetScore(
-            subset=subset, fit=fit, k1_hat=k1, k2_hat=k2,
-            m_star_hat=np.nan, rho=np.inf, eligible=False,
-        )
-    c_epr = suite.c_epr
-    m_star = optimal_exploration(k1, k2, budget, c_epr)
-    m_eval = max(m_star, float(t))
-    if m_eval >= budget / c_epr:
-        rho = np.inf
-    else:
-        rho = surrogate_loss(k1, k2, m_eval, budget, c_epr)
+    rank_ok, k1, k2, m_star, rho = False, np.nan, np.nan, np.nan, np.inf
+    if t > cols:
+        fit = ols_fit(Z, y)
+        rank_ok = fit.rank_ok
+        scale = max(1.0, float(np.max(np.abs(y))))
+        if float(np.max(np.abs(fit.residuals))) <= _ZERO_RESIDUAL_RTOL * scale:
+            k1 = 0.0
+        else:
+            # the online estimate inflates the dimension term by one column
+            k1 = _k1(fit, cols + 1)
+        k2 = suite.c_ept(subset) * j1_y**2
+    # a plain bool: k1 > 0.0 is a numpy bool, which the JSON trace rejects
+    eligible = bool(rank_ok and k1 > 0.0)
+    if eligible:
+        c_epr = suite.c_epr
+        m_star = optimal_exploration(k1, k2, budget, c_epr)
+        m_eval = max(m_star, float(t))
+        if m_eval < budget / c_epr:
+            rho = surrogate_loss(k1, k2, m_eval, budget, c_epr)
     return SubsetScore(
-        subset=subset, fit=fit, k1_hat=k1, k2_hat=k2,
-        m_star_hat=m_star, rho=rho, eligible=True,
+        subset=subset, rank_ok=rank_ok, k1_hat=k1, k2_hat=k2,
+        m_star_hat=m_star, rho=rho, eligible=eligible,
     )
 
 
@@ -269,18 +265,6 @@ def _argmin_rho(scores: list[SubsetScore]) -> SubsetScore | None:
     return best
 
 
-def _zero_residual_fallback(
-    scores: list[SubsetScore], suite: ModelSuite
-) -> SubsetScore:
-    candidates = [s for s in scores if s.fit.rank_ok and s.k1_hat == 0.0]
-    if not candidates:
-        raise PolicyError(
-            "no subset is scorable: every candidate is rank-deficient or has "
-            "too few exploration rows even at the maximum exploration rate"
-        )
-    return min(candidates, key=lambda s: (suite.c_ept(s.subset), len(s.subset), s.subset))
-
-
 def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator) -> PolicyState:
     """One loop round: score, pick the front-runner, then grow or commit.
 
@@ -295,43 +279,33 @@ def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator)
     M = int(np.floor(state.budget / suite.c_epr))
     scores = score_subsets(state, suite)
     best = _argmin_rho(scores)
-    if best is None:
-        if any((not s.eligible) and s.fit.rank_ok and s.k1_hat == 0.0 for s in scores):
-            # a perfect surrogate needs no exploration-error balancing: commit
-            # to the cheapest exactly-fitting subset right away
-            best = _zero_residual_fallback(scores, suite)
-            state.trace.append(
-                {"t": t, "spend": state.spent,
-                 "scores": [s.to_record() for s in scores],
-                 "chosen": list(best.subset)}
-            )
-            state.phase = COMMITTED
-            state.chosen = best.subset
-            return state
+    exact = [s for s in scores if s.rank_ok and s.k1_hat == 0.0]
+    if best is not None:
+        m_star = best.m_star_hat
+    elif exact:
+        # a perfect surrogate needs no exploration-error balancing: commit
+        # to the cheapest exactly-fitting subset right away
+        best = min(exact, key=lambda s: (suite.c_ept(s.subset), len(s.subset), s.subset))
+        m_star = 0.0
+    else:
         # no subset has enough rows yet (expanded designs at small t): the
         # only sensible action is more exploration, on the doubling schedule
-        new_t = min(2 * t, M)
-        if new_t == t:
-            raise PolicyError(
-                "every subset remains unscorable at the maximum exploration rate"
-            )
-        state.trace.append(
-            {"t": t, "spend": state.spent,
-             "scores": [s.to_record() for s in scores], "chosen": None}
+        m_star = np.inf
+    new_t, commit = next_round_target(t, m_star, M)
+    if best is None and commit:
+        raise PolicyError(
+            "every subset remains unscorable at the maximum exploration rate"
         )
-        _take_samples(state, suite, rng, new_t - t)
-        return state
-
     state.trace.append(
         {"t": t, "spend": state.spent,
-         "scores": [s.to_record() for s in scores], "chosen": list(best.subset)}
+         "scores": [s.to_record() for s in scores],
+         "chosen": None if best is None else list(best.subset)}
     )
-    new_t, commit = next_round_target(t, best.m_star_hat, M)
     if commit:
         state.phase = COMMITTED
         state.chosen = best.subset
-        return state
-    _take_samples(state, suite, rng, new_t - t)
+    else:
+        _take_samples(state, suite, rng, new_t - t)
     return state
 
 
@@ -368,47 +342,12 @@ def _take_samples(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Emulator:
-    """Frozen regression emulator used during exploitation.
-
-    ``residual_pool`` holds the exploration residuals for bootstrap noise
-    (standard variant); ``quantiles`` holds the per-level coefficients for
-    the inverse-transform variant.
-    """
-
-    subset: tuple[int, ...]
-    beta_hat: np.ndarray
-    variant: str
-    residual_pool: np.ndarray | None = None
-    quantiles: QuantileFit | None = None
-
-
-def _build_emulator(
-    state: PolicyState, suite: ModelSuite, variant: str
-) -> _Emulator:
-    assert state.chosen is not None
-    subset = state.chosen
-    Z = design_matrix(suite.features(subset, state.x_epr))
-    fit = ols_fit(Z, state.y_epr)
-    if variant == "quantile":
-        k = QUANTILE_GRID_SIZE
-        taus = np.arange(1, k + 1) / (k + 1.0)
-        return _Emulator(
-            subset=subset, beta_hat=fit.beta_hat, variant=variant,
-            quantiles=quantile_fit(Z, state.y_epr, taus),
-        )
-    return _Emulator(
-        subset=subset, beta_hat=fit.beta_hat, variant=variant,
-        residual_pool=fit.residuals,
-    )
-
-
 def exploit(
     state: PolicyState,
     suite: ModelSuite,
     variant: str = "standard",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> EmpiricalMeasure:
     """Spend the remaining budget sampling the committed subset.
 
@@ -423,8 +362,6 @@ def exploit(
         raise PolicyError(f"cannot exploit from phase {state.phase!r}")
     if variant not in ("standard", "no-noise", "quantile"):
         raise ValueError(f"unknown exploitation variant {variant!r}")
-    if rng is None:
-        raise ValueError("exploitation needs a random generator")
     subset = state.chosen
     c_ept = suite.c_ept(subset)
     n_exploit = int(np.floor((state.budget - state.spent) / c_ept))
@@ -435,22 +372,22 @@ def exploit(
             f"exploration spent {state.spent} of {state.budget}; "
             f"no exploitation sample at cost {c_ept} is affordable"
         )
-    emulator = _build_emulator(state, suite, variant)
+    Z = design_matrix(suite.features(subset, state.x_epr))
+    if variant == "quantile":
+        k = QUANTILE_GRID_SIZE
+        levels = quantile_fit(Z, state.y_epr, np.arange(1, k + 1) / (k + 1.0))
+    else:
+        fit = ols_fit(Z, state.y_epr)
     # draw order is part of the determinism contract: surrogate inputs first,
     # then the noise indices
     _, x = suite.draw(rng, n_exploit, subset)
     Z = design_matrix(suite.features(subset, x))
     if variant == "quantile":
-        assert emulator.quantiles is not None
-        idx = rng.integers(0, emulator.quantiles.taus.size, size=n_exploit)
-        values = emulator.quantiles.predict(Z, idx)
+        values = levels.predict(Z, rng.integers(0, k, size=n_exploit))
     else:
-        values = Z @ emulator.beta_hat
+        values = Z @ fit.beta_hat
         if variant == "standard":
-            assert emulator.residual_pool is not None
-            values = values + _bootstrap_residuals(
-                emulator.residual_pool, n_exploit, rng
-            )
+            values = values + _bootstrap_residuals(fit.residuals, n_exploit, rng)
     state.spent += n_exploit * c_ept
     state.phase = EXHAUSTED
     return EmpiricalMeasure.from_samples(values)
@@ -498,10 +435,7 @@ def pilot_statistics(
     for subset in suite.subsets():
         Z = design_matrix(suite.features(subset, x))
         fit = ols_fit(Z, y)
-        _, j1_eps = j_functionals(EmpiricalMeasure.from_samples(fit.residuals))
-        k1[subset] = (
-            2.0 * np.sqrt(Z.shape[1]) * np.sqrt(fit.sigma2_hat) + j1_eps
-        ) ** 2
+        k1[subset] = _k1(fit, Z.shape[1])
         k2[subset] = suite.c_ept(subset) * j1_y**2
         sigma2[subset] = fit.sigma2_hat
     return {"k1": k1, "k2": k2, "sigma2": sigma2, "j0_y": j0_y, "j1_y": j1_y}

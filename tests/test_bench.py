@@ -381,6 +381,84 @@ class TestOutputsAndCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @staticmethod
+    def _rejected(tmp_path, capsys, monkeypatch, config, *argv):
+        import mfdist.bench
+
+        monkeypatch.setattr(mfdist.bench, "_run_cell", lambda *a: pytest.fail("a cell ran"))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = argv or ("run",)
+        rc = cli_main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subset", [[1, 1], [2, 1], [3], [0], []],
+        ids=["repeated", "unordered", "out-of-range", "zero", "empty"],
+    )
+    def test_malformed_fixed_subset_rejected(self, tmp_path, capsys, monkeypatch, subset):
+        config = {
+            "suite": {"name": "ishigami-perfect"},
+            "methods": ["fixed-m:20"],
+            "fixed_subset": subset,
+            "budgets": [300.0],
+            "oracle_samples": 1000,
+        }
+        with pytest.raises(ConfigError, match="fixed_subset"):
+            ExperimentConfig.from_dict(config).build_suite()
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith("error: fixed_subset must list distinct model indices in 1..2")
+
+    def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
+        config = {
+            "suite": {"name": "ishigami-perfect"},
+            "methods": ["ecdf-y"],
+            "budgets": [300.0],
+            "replicates": "ten",
+        }
+        with pytest.raises(ConfigError, match="'replicates' has an invalid value 'ten'"):
+            ExperimentConfig.from_dict(config)
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith("error: config key 'replicates'")
+
+    def test_non_integer_m_grid_rejected(self, tmp_path, capsys, monkeypatch):
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
+        err = self._rejected(
+            tmp_path, capsys, monkeypatch, config, "fixed-m", "--m-grid", "10,x", "--subset", "1"
+        )
+        assert err.startswith("error: --m-grid takes comma-separated integers, got '10,x'")
+
+    def test_rerun_into_one_directory_leaves_only_its_files(self, tmp_path):
+        # run A (two aetc-d traces, with samples), then run B (one aetc-d-no
+        # trace) into the same directory: it must equal B run into a new one
+        def run(name, methods, replicates, out, *extra):
+            config = {
+                "suite": {"name": "ishigami-perfect"},
+                "methods": methods,
+                "budgets": [60.0],
+                "replicates": replicates,
+                "eval_samples": 20,
+                "oracle_samples": 5000,
+                "seed": 5,
+            }
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(config))
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        run("a", ["aetc-d"], 2, shared, "--dump-samples")
+        assert len(list((shared / "trace").glob("*.jsonl"))) == 2
+        run("b", ["aetc-d-no"], 1, shared)
+        run("b", ["aetc-d-no"], 1, fresh)
+        assert sorted(files(shared)) == ["results.csv", "summary.csv", "trace/aetc-d-no_B60_r0.jsonl"]
+        assert files(shared) == files(fresh)
+
 
 class TestGoldenOutputs:
     """sha256 of every output file of one small run, in both eval modes.
@@ -438,6 +516,71 @@ class TestGoldenOutputs:
         assert (sha(out / "results.csv"), sha(out / "summary.csv")) == self.RESULTS[mode]
         traces = {p.name: sha(p) for p in (out / "trace").glob("*.jsonl")}
         assert traces == self.TRACES
+
+    # two runs that reach the policy branches the configuration above never
+    # does: (config, results.csv and summary.csv sha256, sha256 over every
+    # trace's name and bytes in name order, trace files, unscorable rounds,
+    # committed subsets)
+    BRANCHES = {
+        # expanded designs outgrow the initial rows: rounds with "chosen": null
+        "unscorable-rounds": (
+            {
+                "suite": {"name": "ishigami-approx", "expansion": "L"},
+                "methods": ["ecdf-y", "aetc-d", "aetc-d-no", "aetc-d-q", "fixed-m:50"],
+                "fixed_subset": [1],
+                "budgets": [100, 1000],
+                "replicates": 5,
+                "eval_samples": 100,
+                "oracle_samples": 10_000,
+                "seed": 3,
+            },
+            (
+                "e30d6604eb80fae4e916bc060f3d62d6d47c87c19144e785a2287bb33b579d0e",
+                "4af65433347263af96d5d6ab3cf13c5c2da32f5b5c6b699cbce05fa0a13a348d",
+            ),
+            "7d62ef8a6b173a162c61725aae54569114086acc09960578c7ada358220b20dc",
+            30, 30, {(1, 2)},
+        ),
+        # c = d = 0: every subset fits Y exactly (k1 = 0), so the policy
+        # commits at once to the cheapest one
+        "zero-residual-commit": (
+            {
+                "suite": {"name": "ishigami-perfect", "c": 0, "d": 0},
+                "methods": ["aetc-d", "aetc-d-q"],
+                "budgets": [50, 200],
+                "replicates": 2,
+                "eval_samples": 100,
+                "oracle_samples": 10_000,
+                "seed": 4,
+            },
+            (
+                "450945da3fc4498e0b4bb0782b8c2cad3e524b6823e561563cb092b72a79457d",
+                "18f738a8f48e051b2c0878f189efd822084827122fff7bd2ba33538aeecdd348",
+            ),
+            "99c41c5ced27bc103a519b2cb1afd37fd9436962a40a201e0c5ede382679f822",
+            8, 0, {(2,)},
+        ),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_branch_hashes(self, tmp_path, branch):
+        config, results, trace_digest, n_traces, n_unscorable, chosen = self.BRANCHES[branch]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        files = (out / "results.csv", out / "summary.csv")
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files) == results
+        digest = hashlib.sha256()
+        records = []
+        traces = sorted((out / "trace").glob("*.jsonl"))
+        for path in traces:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            records.append([json.loads(line) for line in path.read_text().splitlines()])
+        assert len(traces) == n_traces
+        assert sum(rec["chosen"] is None for trace in records for rec in trace) == n_unscorable
+        assert {tuple(trace[-1]["chosen"]) for trace in records} == chosen
+        assert digest.hexdigest() == trace_digest
 
 
 class TestQuantileVariantCompletes:

@@ -312,6 +312,23 @@ class TestExploit:
         noise = fit.residuals[replay.integers(0, fit.residuals.size, size=n)]
         assert np.array_equal(estimate.atoms, np.sort(lin + noise))
 
+    def test_quantile_variant_fits_no_least_squares_emulator(self, monkeypatch):
+        import mfdist.policy
+        from mfdist.policy import PolicyState
+
+        def no_ols(*args):
+            raise AssertionError("the quantile emulator needs no least-squares fit")
+
+        monkeypatch.setattr(mfdist.policy, "ols_fit", no_ols)
+        suite = linear_gaussian_suite()
+        y_epr, x_epr = suite.draw(np.random.default_rng(22), 25)
+        state = PolicyState(
+            budget=25 * suite.c_epr + 5.0, y_epr=y_epr, x_epr=x_epr,
+            spent=25 * suite.c_epr, phase=COMMITTED, chosen=(1,),
+        )
+        estimate = exploit(state, suite, variant="quantile", rng=np.random.default_rng(23))
+        assert estimate.size == int(5.0 / suite.c_ept((1,)))
+
     def test_bootstrap_uniformity_chi_square(self):
         # noise indices must be uniform over the residual pool: chi-square
         # goodness of fit at the 1% level with N=1e5 draws over m=100 bins
