@@ -33,7 +33,7 @@ from .measures import (
     sample_inverse_transform,
     wasserstein1,
 )
-from .models import ModelSuite, suite_from_config
+from .models import ModelSuite, load_json_object, suite_from_config
 from .policy import COMMITTED, PolicyState, exploit, run_aetc_d
 
 __all__ = [
@@ -74,16 +74,25 @@ SUMMARY_COLUMNS = ["method", "budget", "mean", "q05", "q50", "q95", "failures"]
 # Configuration
 # ---------------------------------------------------------------------------
 
+
+def _integer(value) -> int:
+    """``int(value)``, refusing booleans and fractional numbers instead of
+    truncating them; integral floats such as 20.0 pass."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 # JSON value -> ExperimentConfig field, for every key but "suite"
 _CONFIG_FIELDS = {
     "methods": tuple,
     "budgets": lambda v: tuple(float(b) for b in v),
-    "replicates": int,
-    "eval_samples": int,
-    "oracle_samples": int,
-    "seed": int,
+    "replicates": _integer,
+    "eval_samples": _integer,
+    "oracle_samples": _integer,
+    "seed": _integer,
     "eval": str,
-    "fixed_subset": lambda v: tuple(int(i) for i in v),
+    "fixed_subset": lambda v: tuple(_integer(i) for i in v),
 }
 
 
@@ -112,6 +121,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("at least one method is required")
         for method in self.methods:
+            if not isinstance(method, str):
+                raise ConfigError(f"methods must be strings, got {method!r}")
             base = method.split(":", 1)[0]
             if base == "fixed-m":
                 try:
@@ -159,8 +170,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json_object(path))
 
     def build_suite(self) -> ModelSuite:
         """The configured suite; ``fixed_subset`` must be one of its subsets."""

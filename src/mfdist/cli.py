@@ -31,13 +31,8 @@ from .bench import (
     write_traces,
 )
 from .errors import ConfigError, MfdistError
-from .models import suite_from_config
+from .models import load_json_object, suite_from_config
 from .policy import efficiency_ratio, optimal_exploration, oracle_optimum, pilot_statistics
-
-
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -88,7 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_m(args: argparse.Namespace) -> int:
-    raw = _load_json(args.config)
+    raw = load_json_object(args.config)
     raw["methods"] = [f"fixed-m:{m}" for m in _int_list(args.m_grid, "--m-grid")]
     if args.subset:
         raw["fixed_subset"] = _int_list(args.subset, "--subset")
@@ -96,7 +91,7 @@ def _cmd_fixed_m(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_curve(args: argparse.Namespace) -> int:
-    suite = suite_from_config(_load_json(args.suite))
+    suite = suite_from_config(load_json_object(args.suite))
     by_m: dict[int, list[float]] = {}
     budgets = set()
     with open(getattr(args, "in"), newline="", encoding="utf-8") as fh:
@@ -128,7 +123,7 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    suite = suite_from_config(_load_json(args.suite))
+    suite = suite_from_config(load_json_object(args.suite))
     rng = np.random.default_rng(args.seed)
     pilot = pilot_statistics(suite, args.pilot, rng)
     budget = args.budget

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -376,26 +377,32 @@ class SampleTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, costs_path: str | Path) -> "SampleTable":
+        """Load a table: a header ``y,x1,...,xn`` (n from the costs' length),
+        then one row of n + 1 Python ``float`` spellings per line.
+
+        numpy's C reader parses the rows.  A file it refuses, or might read
+        otherwise, goes through the line loop, which parses every spelling
+        ``float()`` takes and names the line of the first malformed row.
+        """
         path = Path(path)
-        with open(costs_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        unknown = set(meta) - {"cost_y", "costs"}
-        if unknown:
-            raise ConfigError(f"unknown cost metadata keys: {sorted(unknown)}")
-        cost_y = float(meta["cost_y"])
-        costs = tuple(float(v) for v in meta["costs"])
+        cost_y, costs = _read_costs(costs_path)
         n = len(costs)
         expected_header = ["y"] + [f"x{i}" for i in range(1, n + 1)]
-        y_rows: list[float] = []
-        x_rows: list[list[float]] = []
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header != expected_header:
                 raise TableParseError(
                     f"{path}: line 1: expected header {','.join(expected_header)!r}, "
                     f"got {header!r}"
                 )
+            data = _loadtxt_rows(fh, path, n + 1)
+        if data is not None:
+            return cls(y=data[:, 0].copy(), x=data[:, 1:].copy(), cost_y=cost_y, costs=costs)
+        y_rows: list[float] = []
+        x_rows: list[list[float]] = []
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != n + 1:
                     raise TableParseError(
@@ -421,6 +428,87 @@ class SampleTable:
                 writer.writerow([repr(float(yi))] + [repr(float(v)) for v in xi])
         with open(costs_path, "w", encoding="utf-8") as fh:
             json.dump({"cost_y": self.cost_y, "costs": list(self.costs)}, fh)
+
+
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``.
+
+    Invalid JSON and any other JSON value raise ConfigError naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
+    """``cost_y`` and ``costs`` from a table's cost metadata file."""
+    meta = load_json_object(costs_path)
+    if set(meta) != {"cost_y", "costs"}:
+        raise ConfigError(
+            f"{costs_path}: cost metadata needs exactly the keys 'cost_y' and 'costs', "
+            f"got {sorted(meta)}"
+        )
+    try:
+        return float(meta["cost_y"]), tuple(float(v) for v in meta["costs"])
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{costs_path}: cost_y must be a number and costs a list of numbers, "
+            f"got {meta['cost_y']!r} and {meta['costs']!r}"
+        ) from None
+
+
+# ASCII separators 0x1c-0x1f: numpy's float parser strips them as whitespace
+# where float() refuses them, so a file holding one goes to the line loop
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _count_lines(path: Path) -> int | None:
+    """Lines as text iteration with ``newline=""`` splits the file (at \\n,
+    \\r\\n and \\r), counted in 1 MiB binary chunks; None if the file holds a
+    byte of _NUMPY_ONLY_SPACE.  In UTF-8 these bytes occur only as the
+    characters they encode."""
+    lines = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if any(sep in chunk for sep in _NUMPY_ONLY_SPACE):
+                return None
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # most tables have none: skip two counting passes
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1  # a \r\n split across two chunks
+            last = chunk[-1:]
+    if last not in (b"\n", b"\r"):
+        lines += 1
+    return lines
+
+
+def _loadtxt_rows(fh, path: Path, width: int) -> np.ndarray | None:
+    """The rest of the open table ``fh``, just past its header, parsed by
+    numpy's C reader: an array of one row per line, or None if the reader
+    refuses the file or may have read it otherwise than the line loop.
+
+    ``loadtxt`` streams ``fh`` line by line.  It silently skips blank lines
+    and takes its width from the first row, so its result counts only if it
+    has one row per data line and ``width`` columns.
+    """
+    lines = _count_lines(path)
+    if lines is None or lines == 1:  # header only: loadtxt would warn of no data
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a file of blank lines warns of no data; the shape check refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (lines - 1, width) else None
 
 
 def table_suite(table: SampleTable, name: str = "table") -> ModelSuite:

@@ -193,3 +193,35 @@ def pinball_primal_lp(Z: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndar
     beta = res.x[:p]
     r = y - Z @ beta
     return beta, float(np.mean(np.where(r < 0.0, (tau - 1.0) * r, tau * r)))
+
+
+def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a table CSV parsed one line and one ``float()`` at a time.
+
+    The header is assumed checked.  Raises ``TableParseError`` with the
+    line-numbered messages of ``SampleTable.from_csv``; returns (y, x) with
+    x of shape (rows, n).
+    """
+    import csv
+
+    from mfdist.errors import TableParseError
+
+    y_rows: list[float] = []
+    x_rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n + 1:
+                raise TableParseError(
+                    f"{path}: line {lineno}: expected {n + 1} fields, got {len(row)}"
+                )
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise TableParseError(f"{path}: line {lineno}: {exc}") from None
+            y_rows.append(values[0])
+            x_rows.append(values[1:])
+    if not y_rows:
+        raise TableParseError(f"{path}: table has a header but no data rows")
+    return np.asarray(y_rows), np.asarray(x_rows)

@@ -423,6 +423,73 @@ class TestOutputsAndCli:
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err.startswith("error: config key 'replicates'")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("replicates", 2.7), ("eval_samples", True), ("oracle_samples", 1000.5),
+         ("seed", 0.5), ("seed", float("inf")), ("fixed_subset", [1.9])],
+    )
+    def test_fractional_integer_field_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        config = {
+            "suite": {"name": "ishigami-perfect"},
+            "methods": ["fixed-m:20"],
+            "fixed_subset": [1],
+            "budgets": [300.0],
+            key: value,
+        }
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith(f"error: config key {key!r} has an invalid value")
+        # integral floats, as a JSON writer may emit them, keep working
+        whole = ExperimentConfig.from_dict(dict(
+            config, replicates=20.0, eval_samples=200.0, oracle_samples=1000.0,
+            seed=3.0, fixed_subset=[1.0],
+        ))
+        assert (whole.replicates, whole.eval_samples, whole.oracle_samples, whole.seed,
+                whole.fixed_subset) == (20, 200, 1000, 3, (1,))
+        assert all(type(v) is int for v in (whole.replicates, whole.seed, *whole.fixed_subset))
+
+    def test_non_string_method_rejected(self, tmp_path, capsys, monkeypatch):
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": [1], "budgets": [300.0]}
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith("error: methods must be strings, got 1")
+
+    def test_malformed_config_json_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        for text, argv, message in [
+            ("{bad", ["run"], "invalid JSON"),
+            ("{bad", ["stats"], "invalid JSON"),
+            ("[1, 2]", ["fixed-m", "--m-grid", "10", "--subset", "1"],
+             "expected a JSON object, got list"),
+        ]:
+            cfg_path.write_text(text)
+            rc = cli_main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "meta",
+        ['{"costs": [0.05, 0.001]}', '{"cost_y": 1.0}', '[1.0, [0.05, 0.001]]',
+         '{"cost_y": 1.0,', '{"cost_y": 1.0, "costs": [0.05, "cheap"]}'],
+        ids=["no-cost_y", "no-costs", "not-an-object", "invalid-json", "non-numeric"],
+    )
+    def test_bad_cost_metadata_rejected(self, tmp_path, capsys, monkeypatch, meta):
+        from mfdist.models import SampleTable
+
+        y, x = ishigami_suite("perfect").draw(np.random.default_rng(2), 20)
+        costs_path = tmp_path / "costs.json"
+        SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001)).to_csv(
+            tmp_path / "table.csv", costs_path
+        )
+        costs_path.write_text(meta)
+        config = {
+            "suite": {"name": "table", "path": str(tmp_path / "table.csv"),
+                      "costs_path": str(costs_path)},
+            "methods": ["ecdf-y"],
+            "budgets": [60.0],
+        }
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith(f"error: {costs_path}: ")
+
     def test_non_integer_m_grid_rejected(self, tmp_path, capsys, monkeypatch):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
         err = self._rejected(

@@ -1,10 +1,14 @@
+import csv
 import json
 import tracemalloc
+import warnings
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mfdist import models
 from mfdist.errors import ConfigError, TableParseError
 from mfdist.models import (
     FeatureMap,
@@ -18,7 +22,7 @@ from mfdist.models import (
     table_suite,
 )
 
-from oracles import ishigami_terms_float_powers
+from oracles import ishigami_terms_float_powers, table_rows_line_loop
 
 
 class TestSubsetEnumeration:
@@ -333,6 +337,23 @@ class TestSampleTable:
         with pytest.raises(TableParseError, match="no data rows"):
             SampleTable.from_csv(*paths)
 
+    def test_cost_metadata_errors_name_the_file(self, tmp_path):
+        csv_path, costs_path = self.write_table(tmp_path, ["1.0,2.0,3.0"])
+        for meta, message in [
+            ('{"costs": [0.5, 0.25]}', "exactly the keys 'cost_y' and 'costs', got ['costs']"),
+            ('{"cost_y": 2.0}', "exactly the keys 'cost_y' and 'costs', got ['cost_y']"),
+            ('{"cost_y": 2.0, "costs": [0.5, 0.25], "cost": 1}', "got ['cost', 'cost_y', 'costs']"),
+            ("[2.0, [0.5, 0.25]]", "expected a JSON object, got list"),
+            ('{"cost_y": 2.0, "costs"', "invalid JSON"),
+            ('{"cost_y": "two", "costs": [0.5, 0.25]}', "cost_y must be a number"),
+            ('{"cost_y": 2.0, "costs": [0.5, null]}', "costs a list of numbers"),
+        ]:
+            costs_path.write_text(meta)
+            with pytest.raises(ConfigError) as info:
+                SampleTable.from_csv(csv_path, costs_path)
+            assert str(info.value).startswith(f"{costs_path}: "), meta
+            assert message in str(info.value), meta
+
     def test_bootstrap_matches_source_marginals(self):
         src = ishigami_suite("perfect")
         y, x = src.draw(np.random.default_rng(11), 100_000)
@@ -345,6 +366,148 @@ class TestSampleTable:
         assert np.corrcoef(yb, xb[:, 0])[0, 1] == pytest.approx(
             np.corrcoef(y, x[:, 0])[0, 1], abs=0.002
         )
+
+
+def _parse_outcome(fn, *args):
+    """(y, x) as bit patterns, or the exception's type and message."""
+    try:
+        y, x = fn(*args)
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+    assert y.flags.c_contiguous and x.flags.c_contiguous
+    return y.shape, x.shape, y.view(np.uint64).tolist(), x.view(np.uint64).tolist()
+
+
+class TestTableFastPath:
+    """numpy's reader parses the rows; every file must read as the line loop
+    (``oracles.table_rows_line_loop``) reads it, values bit for bit and errors
+    word for word."""
+
+    @pytest.fixture
+    def csv_readers(self, monkeypatch):
+        """Counts the csv readers ``from_csv`` makes: one, for the header,
+        when numpy parsed the rows."""
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return csv.reader(*args, **kwargs)
+
+        monkeypatch.setattr(models, "csv", SimpleNamespace(reader=counting, writer=csv.writer))
+        return made
+
+    @staticmethod
+    def both(tmp_path, text, n=2):
+        csv_path, costs_path = tmp_path / "t.csv", tmp_path / "t.json"
+        csv_path.write_bytes(text.encode("utf-8"))
+        costs_path.write_text(json.dumps({"cost_y": 1.0, "costs": [0.5] * n}))
+
+        def from_csv():
+            table = SampleTable.from_csv(csv_path, costs_path)
+            return table.y, table.x
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _parse_outcome(from_csv)
+        return fast, _parse_outcome(table_rows_line_loop, csv_path, n)
+
+    @pytest.mark.parametrize(
+        "after_header, expected",
+        [
+            ("\n1,2,3\n\n4,5,6\n", "line 3: expected 3 fields, got 0"),
+            ("\n1,2,3\n4,5,6\n\n", "line 4: expected 3 fields, got 0"),
+            ("\n\n\n", "line 2: expected 3 fields, got 0"),
+            ("\n1,2,3\n \t \n4,5,6\n", "line 3: expected 3 fields, got 1"),
+            ("\n1,2,3,4\n5,6,7,8\n", "line 2: expected 3 fields, got 4"),
+            ("\n1,2\n3,4\n", "line 2: expected 3 fields, got 2"),
+            ("\n1,2,3\r4,5,6\n\n", "line 4: expected 3 fields, got 0"),
+            ("\n1,2,3\x1c\n", "line 2: could not convert string to float: '3\\x1c'"),
+            ("\n1,2,3\n4,5,6\x1f", "line 3: could not convert string to float: '6\\x1f'"),
+            ('\n"1.5",2,3\n4,"5e0",6\n', None),
+            ("\n1_0,2,3\n", None),
+            ("\n١٢,2,3\n", None),
+            ("\r1,2,3\r4,5,6\r", None),
+            ("\r\n1,2,3\r\n4,5,6\r\n", None),
+            ("\n1,2,3\n4,5,6", None),
+        ],
+        ids=[
+            "blank-middle", "blank-end", "blank-only", "whitespace-line", "too-wide",
+            "too-narrow", "cr-then-blank", "separator-byte", "separator-byte-last",
+            "quoted", "underscore", "arabic-digits", "cr", "crlf", "no-final-newline",
+        ],
+    )
+    def test_traps_read_as_the_line_loop(self, tmp_path, after_header, expected):
+        fast, loop = self.both(tmp_path, "y,x1,x2" + after_header)
+        assert fast == loop
+        if expected is None:
+            assert fast[1] == (fast[0][0], 2)
+        else:
+            assert fast == (TableParseError, f"{tmp_path / 't.csv'}: {expected}")
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("after_header", ["", "\n"], ids=["no-newline", "newline"])
+    def test_header_only(self, tmp_path, n, after_header):
+        # numpy reads no rows from it as (0, 1), a valid shape when n = 0
+        header = ",".join(["y"] + [f"x{i}" for i in range(1, n + 1)])
+        fast, loop = self.both(tmp_path, header + after_header, n=n)
+        assert fast == loop
+        assert fast == (TableParseError, f"{tmp_path / 't.csv'}: table has a header but no data rows")
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_plain_files_take_numpy(self, tmp_path, csv_readers, newline, final):
+        # the file's 1 MiB read chunks end between the \r and \n of a row
+        row = "0.25,0.5,0.75" + newline
+        rows = ((1 << 20) - len("y,x1,x2" + newline)) // len(row) + 2
+        body = row * rows if final else (row * rows).removesuffix(newline)
+        fast, loop = self.both(tmp_path, "y,x1,x2" + newline + body)
+        assert fast == loop and fast[1] == (rows, 2)
+        assert len(csv_readers) == 1
+
+    def test_random_spellings_bit_for_bit(self, tmp_path, csv_readers):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2**63, size=600, dtype=np.uint64) * np.uint64(2)
+        bits += rng.integers(0, 2, size=600, dtype=np.uint64)
+        wide = rng.standard_normal(600) * 10.0 ** rng.integers(-320, 309, size=600)
+        values = np.concatenate([bits.view(np.float64), wide]).tolist()
+        fields = [repr(v) for v in values] + ["%.17g" % v for v in values]
+        fields += [
+            "1e400", "-1e400", "1e-400", "-0.0", "0.0", "inf", "-inf", "+inf",
+            "Infinity", "nan", "-nan", "NaN", "4.9e-324", "2.4703282292062328e-324",
+            "2.2250738585072009e-308", "1.7976931348623157e308", "1E+05", ".5", "5.",
+            "+1", "000012",
+        ]
+        pads = ["", " ", "\t", "  \t "]
+        rows = rng.choice(len(fields), size=(3000, 3))
+        padding = rng.choice(len(pads), size=(3000, 3, 2))
+        body = "".join(
+            ",".join(pads[p[0]] + fields[f] + pads[p[1]] for f, p in zip(row, pad)) + "\n"
+            for row, pad in zip(rows, padding)
+        )
+        fast, loop = self.both(tmp_path, "y,x1,x2\n" + body)
+        assert fast == loop
+        assert fast[1] == (3000, 2)
+        assert len(csv_readers) == 1
+
+    def test_peak_is_at_most_three_floats_a_value(self, tmp_path):
+        rows, n = 200_000, 2
+        rng = np.random.default_rng(3)
+        table = SampleTable(
+            y=rng.standard_normal(rows), x=rng.standard_normal((rows, n)),
+            cost_y=1.0, costs=(0.5,) * n,
+        )
+        table.to_csv(tmp_path / "m.csv", tmp_path / "m.json")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = SampleTable.from_csv(tmp_path / "m.csv", tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.x, table.x)
+        values = rows * (n + 1)
+        assert peak <= 3 * 8 * values + (1 << 20), peak / (8 * values)
 
 
 class TestSuiteFromConfig:
