@@ -137,8 +137,8 @@ class ExperimentConfig:
                     raise ConfigError("fixed-m methods require 'fixed_subset'")
             elif method not in _METHOD_NAMES:
                 raise ConfigError(f"unknown method {method!r}")
-        if not self.budgets or any(b <= 0 for b in self.budgets):
-            raise ConfigError("budgets must be positive")
+        if not self.budgets or not all(0.0 < b < np.inf for b in self.budgets):
+            raise ConfigError(f"budgets must be positive and finite, got {list(self.budgets)}")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly increasing")
         if self.replicates < 1:

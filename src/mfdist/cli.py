@@ -217,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MfdistError as exc:
+    except (MfdistError, OSError) as exc:
+        # an OSError's message names the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -389,7 +389,10 @@ class SampleTable:
         n = len(costs)
         expected_header = ["y"] + [f"x{i}" for i in range(1, n + 1)]
         with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
+            try:
+                header = next(csv.reader(fh), None)
+            except csv.Error as exc:
+                raise TableParseError(f"{path}: line 1: {exc}") from None
             if header != expected_header:
                 raise TableParseError(
                     f"{path}: line 1: expected header {','.join(expected_header)!r}, "
@@ -403,17 +406,20 @@ class SampleTable:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != n + 1:
-                    raise TableParseError(
-                        f"{path}: line {lineno}: expected {n + 1} fields, got {len(row)}"
-                    )
-                try:
-                    values = [float(v) for v in row]
-                except ValueError as exc:
-                    raise TableParseError(f"{path}: line {lineno}: {exc}") from None
-                y_rows.append(values[0])
-                x_rows.append(values[1:])
+            try:
+                for lineno, row in enumerate(reader, start=2):
+                    if len(row) != n + 1:
+                        raise TableParseError(
+                            f"{path}: line {lineno}: expected {n + 1} fields, got {len(row)}"
+                        )
+                    try:
+                        values = [float(v) for v in row]
+                    except ValueError as exc:
+                        raise TableParseError(f"{path}: line {lineno}: {exc}") from None
+                    y_rows.append(values[0])
+                    x_rows.append(values[1:])
+            except csv.Error as exc:  # e.g. a field over csv's size limit
+                raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None
         if not y_rows:
             raise TableParseError(f"{path}: table has a header but no data rows")
         return cls(

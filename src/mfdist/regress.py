@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import qr
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (unused; perfbench/spans.py patches this name)
 
 from .errors import InsufficientSampleError, QuantileSolverError
 
@@ -27,10 +26,6 @@ __all__ = [
     "pinball_subgradient_margin",
     "quantile_fit",
 ]
-
-# slack used when re-solving on the optimal face to break argmin ties
-_TIE_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -136,19 +131,18 @@ def _mean_pinball(Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray) ->
     return float(np.mean(pinball_loss(y - Z @ beta, tau)))
 
 
-def pinball_subgradient_margin(
-    Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray, zero_tol: float = 1e-9
-) -> float:
+def pinball_subgradient_margin(Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray) -> float:
     """Smallest one-sided directional derivative of the mean pinball loss at
     ``beta`` over the signed coordinate directions.
 
     A nonnegative return certifies (coordinate-wise) first-order optimality;
     a return of ~0 with optimality indicates a flat edge, i.e. a tied argmin.
+    Residuals within 1e-9 * max(1, max|y|) of zero count as zero.
     """
     r = y - Z @ beta
-    scale = max(1.0, float(np.max(np.abs(y))))
-    pos = r > zero_tol * scale
-    neg = r < -zero_tol * scale
+    band = 1e-9 * max(1.0, float(np.max(np.abs(y))))
+    pos = r > band
+    neg = r < -band
     zero = ~(pos | neg)
     m = y.size
     margins = []
@@ -160,6 +154,20 @@ def pinball_subgradient_margin(
             g += (1.0 - tau) * np.maximum(a[zero], 0.0).sum()
             margins.append(g / m)
     return float(min(margins))
+
+
+def _lex_descent_edge(slopes: np.ndarray, W: np.ndarray, Zh_inv: np.ndarray) -> int | None:
+    """A flat edge along which beta's first changing coefficient falls, the
+    earliest such coefficient first; None at the face's lexicographically
+    smallest vertex.  Along the edges raising and lowering basis row k's
+    residual, beta moves by -inv(Z_h)[:, k] and +inv(Z_h)[:, k]."""
+    p = Zh_inv.shape[0]
+    flat = np.flatnonzero(slopes <= np.tile(1e-12 * np.abs(W).sum(axis=0), 2))
+    moves = np.hstack([-Zh_inv, Zh_inv])[:, flat]
+    moves[np.abs(moves) <= 1e-12 * np.max(np.abs(Zh_inv))] = 0.0
+    first = np.argmax(moves != 0.0, axis=0)
+    lead = np.where(moves[first, np.arange(flat.size)] < 0.0, first, p)
+    return int(flat[np.argmin(lead)]) if np.any(lead < p) else None
 
 
 def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -181,6 +189,14 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     perturbation), so every vertex is nondegenerate: the edge test is then a
     complete optimality test, a zero row can enter the basis by a step of
     length zero, and the perturbed objective falls at every pivot.
+
+    When the walk stops on an edge of slope zero, the argmin may be a face.
+    The walk then minimizes beta lexicographically on it: it follows flat
+    edges along which beta's first changing coefficient falls, each to its
+    first crossing, until none is left.  The objective (loss, beta_1, ...,
+    beta_cols) then falls lexicographically at every pivot, so the walk
+    cannot cycle, and it stops at the face's lexicographically smallest
+    vertex (Dantzig, Orden and Wolfe 1955).
     """
     m, p = Z.shape
     h = np.sort(qr(Z.T, mode="r", pivoting=True)[1][:p])
@@ -203,9 +219,9 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
         e = u - W @ u[h]  # the perturbation's residuals
         sign = np.where(r == 0.0, np.sign(e), np.sign(r))
         sign[h] = 0.0
-        return beta, W, r, e, sign
+        return beta, Zh_inv, W, r, e, sign
 
-    beta, W, r, e, sign = vertex(h)
+    beta, Zh_inv, W, r, e, sign = vertex(h)
     for i, tau in enumerate(taus):
         while True:
             # derivatives along the edges that raise (up) or lower (down)
@@ -214,8 +230,14 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
             slopes = np.concatenate([g + tau, (1.0 - tau) - g])
             edge = int(np.argmin(slopes))
             k = edge % p
-            if slopes[edge] >= -1e-12 * np.abs(W[:, k]).sum():
-                break
+            descent = -slopes[edge]
+            tol = 1e-12 * np.abs(W[:, k]).sum()
+            if descent <= tol:
+                # optimal; past a flat edge the argmin is a face
+                edge = _lex_descent_edge(slopes, W, Zh_inv) if descent >= -tol else None
+                if edge is None:
+                    break
+                k, descent = edge % p, 0.0
             pivots += 1
             if pivots > max_pivots:
                 raise QuantileSolverError(
@@ -225,14 +247,19 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
             crossing = np.flatnonzero(sign * a < 0.0)
             a_c = a[crossing]
             # order by the perturbed crossing times t + eps * t_eps
-            order = np.lexsort((-e[crossing] / a_c, -r[crossing] / a_c))
+            t = -r[crossing] / a_c
+            if descent == 0.0 and t.size:
+                # a flat edge ends at its first crossing, where times equal up
+                # to rounding must tie for the perturbation to order them
+                t[t <= t.min() * (1.0 + 1e-12)] = t.min()
+            order = np.lexsort((-e[crossing] / a_c, t))
             rise = np.cumsum(np.abs(a_c)[order])
-            j = int(np.searchsorted(rise, -slopes[edge]))
+            j = int(np.searchsorted(rise, descent))
             if j == order.size:
                 raise QuantileSolverError(f"pinball objective unbounded at tau={tau}")
             h[k] = crossing[order[j]]
             h.sort()
-            beta, W, r, e, sign = vertex(h)
+            beta, Zh_inv, W, r, e, sign = vertex(h)
         betas[i] = beta
     return betas
 
@@ -254,57 +281,6 @@ def _pinball_path(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return betas
 
 
-def _lex_smallest_on_face(
-    Z: np.ndarray, y: np.ndarray, tau: float, v_star: float
-) -> np.ndarray:
-    """Lexicographically smallest coefficient vector on the near-optimal face.
-
-    Solves one primal-form LP per coordinate: minimize beta_j subject to the
-    mean pinball loss staying within a tiny slack of ``v_star`` and the
-    previously fixed coordinates staying at their minima.
-    """
-    m, p = Z.shape
-    eps = _TIE_EPS * (1.0 + abs(v_star))
-    # variables: (beta, u, v); Z beta + u - v = y; loss row as inequality
-    A_eq = sparse.hstack(
-        [sparse.csr_matrix(Z), sparse.eye(m, format="csr"), -sparse.eye(m, format="csr")]
-    )
-    loss_row = sparse.csr_matrix(
-        np.concatenate([np.zeros(p), np.full(m, tau / m), np.full(m, (1.0 - tau) / m)])
-    )
-    bounds = [(None, None)] * p + [(0.0, None)] * (2 * m)
-    fixed: list[float] = []
-    beta = None
-    for j in range(p):
-        c = np.zeros(p + 2 * m)
-        c[j] = 1.0
-        A_ub_rows = [loss_row]
-        b_ub = [v_star + eps]
-        for k, val in enumerate(fixed):
-            row = sparse.csr_matrix(
-                (np.array([1.0]), (np.array([0]), np.array([k]))), shape=(1, p + 2 * m)
-            )
-            A_ub_rows.append(row)
-            b_ub.append(val + _TIE_EPS)
-        res = linprog(
-            c=c,
-            A_ub=sparse.vstack(A_ub_rows, format="csr"),
-            b_ub=np.array(b_ub),
-            A_eq=A_eq,
-            b_eq=y,
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status != 0:
-            raise QuantileSolverError(
-                f"tie-break LP failed at tau={tau}, coordinate {j}: {res.message}"
-            )
-        beta = res.x[:p]
-        fixed.append(float(beta[j]))
-    assert beta is not None
-    return beta
-
-
 def quantile_fit(Z: np.ndarray, y: np.ndarray, taus) -> QuantileFit:
     """Fit one pinball-loss minimizer per quantile level.
 
@@ -312,9 +288,9 @@ def quantile_fit(Z: np.ndarray, y: np.ndarray, taus) -> QuantileFit:
     the pinball objective (:func:`_basis_walk`), each level starting from the
     previous level's optimal basis.  Every solution must pass
     :func:`pinball_subgradient_margin`.  When the argmin is a face rather than
-    a vertex - detected via a zero one-sided subgradient direction - the
-    lexicographically smallest vertex is selected, so e.g. an even-sample
-    median resolves to the lower middle order statistic.
+    a vertex, the walk returns its lexicographically smallest point, so e.g.
+    an even-sample median resolves to the lower middle order statistic (on a
+    rank-deficient design, among the points zero off the columns kept).
     """
     Z, y = _check_design(Z, y)
     taus = np.asarray(taus, dtype=np.float64)
@@ -323,14 +299,10 @@ def quantile_fit(Z: np.ndarray, y: np.ndarray, taus) -> QuantileFit:
         raise ValueError(f"tau must lie in (0, 1), got {taus[bad][0]!r}")
     betas = _pinball_path(Z, y, taus)
     for tau, beta in zip(taus.tolist(), betas):
-        v_star = _mean_pinball(Z, y, tau, beta)
         margin = pinball_subgradient_margin(Z, y, tau, beta)
-        scale = 1.0 + abs(v_star)
-        if margin < -1e-7 * scale:
+        if margin < -1e-7 * (1.0 + abs(_mean_pinball(Z, y, tau, beta))):
             raise QuantileSolverError(
                 f"pinball solution at tau={tau} fails the subgradient check "
                 f"(margin {margin:.3e})"
             )
-        if margin < 1e-10 * scale:
-            beta[:] = _lex_smallest_on_face(Z, y, tau, v_star)
     return QuantileFit(taus=taus, betas=betas)

@@ -7,7 +7,9 @@ arithmetic stand on their own so agreement is meaningful.
 
 from __future__ import annotations
 
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import lcm
 
 import numpy as np
 
@@ -193,6 +195,58 @@ def pinball_primal_lp(Z: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndar
     beta = res.x[:p]
     r = y - Z @ beta
     return beta, float(np.mean(np.where(r < 0.0, (tau - 1.0) * r, tau * r)))
+
+
+def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """x with A x = b by Gauss-Jordan elimination in rationals; None if A is
+    singular."""
+    n = len(b)
+    M = [row[:] + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if M[i][col] != 0), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col] / M[col][col]
+                M[i] = [a - f * c for a, c in zip(M[i], M[col])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def pinball_lexmin_bruteforce(Z, y, taus) -> list[list[Fraction]]:
+    """Lexicographically smallest pinball minimizer per level, in rationals.
+
+    Every optimum set of a pinball regression with a full-rank design is a
+    polytope whose vertices fit ``cols`` rows exactly, and its
+    lexicographically smallest point is one of them.  So enumerating every
+    nonsingular basis, with each float entry and level read exactly as a
+    ``Fraction``, finds the exact minimum loss and, among the bases reaching
+    it, the smallest coefficient vector.  Feasible for about a dozen rows.
+    """
+    Zq = [[Fraction(float(v)) for v in row] for row in np.asarray(Z)]
+    yq = [Fraction(float(v)) for v in y]
+    taus = [Fraction(t) for t in taus]
+    # scaling Z and y by one integer keeps every beta and scales every loss
+    scale = lcm(*(v.denominator for row in Zq for v in row), *(v.denominator for v in yq))
+    Zi = [[int(v * scale) for v in row] for row in Zq]
+    yi = [int(v * scale) for v in yq]
+    best: list[tuple[Fraction, list[Fraction]] | None] = [None] * len(taus)
+    for h in combinations(range(len(yq)), len(Zq[0])):
+        beta = _solve_exact([Zq[i] for i in h], [yq[i] for i in h])
+        if beta is None:
+            continue
+        # residuals times the common denominator d of beta, in integers
+        d = lcm(*(b.denominator for b in beta))
+        num = [b.numerator * (d // b.denominator) for b in beta]
+        r = [v * d - sum(z * n for z, n in zip(row, num)) for row, v in zip(Zi, yi)]
+        above = Fraction(sum(v for v in r if v > 0), d)
+        below = Fraction(-sum(v for v in r if v < 0), d)
+        for k, tau in enumerate(taus):
+            candidate = (tau * above + (1 - tau) * below, beta)
+            if best[k] is None or candidate < best[k]:
+                best[k] = candidate
+    return [b[1] for b in best]
 
 
 def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -447,6 +447,40 @@ class TestOutputsAndCli:
                 whole.fixed_subset) == (20, 200, 1000, 3, (1,))
         assert all(type(v) is int for v in (whole.replicates, whole.seed, *whole.fixed_subset))
 
+    @pytest.mark.parametrize("budgets", [[float("nan")], [100.0, float("inf")]], ids=["nan", "inf"])
+    def test_non_finite_budget_rejected(self, tmp_path, capsys, monkeypatch, budgets):
+        # json writes and reads these as the bare words NaN and Infinity
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": budgets}
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith("error: budgets must be positive and finite")
+
+    def test_missing_input_files_rejected(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"name": "ishigami-perfect"}))
+        costs_path = tmp_path / "costs.json"
+        costs_path.write_text(json.dumps({"cost_y": 1.0, "costs": [0.05, 0.001]}))
+        table_cfg = tmp_path / "table.json"
+        table_cfg.write_text(json.dumps({
+            "suite": {"name": "table", "path": str(tmp_path / "nosuch.csv"),
+                      "costs_path": str(costs_path)},
+            "methods": ["ecdf-y"], "budgets": [60.0],
+        }))
+        out = str(tmp_path / "o")
+        for argv, name in [
+            (["run", "--config", str(missing), "--out", out], missing),
+            (["run", "--config", str(table_cfg), "--out", out], tmp_path / "nosuch.csv"),
+            (["oracle", "--suite", str(missing), "--pilot", "100"], missing),
+            (["fit-curve", "--in", str(tmp_path / "nosuch.csv"), "--suite", str(suite_path)],
+             tmp_path / "nosuch.csv"),
+        ]:
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(name) in err, err
+        # library callers keep the Python exception
+        with pytest.raises(FileNotFoundError):
+            ExperimentConfig.from_json(missing)
+
     def test_non_string_method_rejected(self, tmp_path, capsys, monkeypatch):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": [1], "budgets": [300.0]}
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
@@ -762,3 +796,20 @@ class TestOracleMeasure:
         b = build_oracle_measure(cfg, suite)
         assert np.array_equal(a.atoms, b.atoms)
         assert a.size == cfg.oracle_samples
+
+
+class TestBenchmarkSpanTargets:
+    def test_every_traced_name_exists(self):
+        # the benchmark's tracer patches these names when it installs; one
+        # that no longer exists would crash every traced benchmark run
+        import importlib.util
+        import inspect
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans._TARGETS
+        for owner, attr, *_ in spans._TARGETS:
+            inspect.getattr_static(owner, attr)

@@ -327,6 +327,16 @@ class TestSampleTable:
         with pytest.raises(TableParseError, match="line 2"):
             SampleTable.from_csv(*paths)
 
+    def test_overlong_field_names_line(self, tmp_path):
+        # numpy reads the long field; the blank line sends the file to the
+        # line loop, whose csv reader refuses fields over 131,072 characters
+        paths = self.write_table(tmp_path, ["0" * 200_000 + "1.5,2.0,3.0", ""])
+        with pytest.raises(TableParseError, match="line 2: field larger than field limit"):
+            SampleTable.from_csv(*paths)
+        paths = self.write_table(tmp_path, ["1.0,2.0,3.0"], header="y" + "0" * 200_000 + ",x1,x2")
+        with pytest.raises(TableParseError, match="line 1: field larger than field limit"):
+            SampleTable.from_csv(*paths)
+
     def test_bad_header(self, tmp_path):
         paths = self.write_table(tmp_path, ["1.0,2.0,3.0"], header="y,a,b")
         with pytest.raises(TableParseError, match="line 1"):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mfdist.regress import (
     quantile_fit,
 )
 
-from oracles import ols_normal_equations_mp, pinball_primal_lp
+from oracles import ols_normal_equations_mp, pinball_lexmin_bruteforce, pinball_primal_lp
 
 
 class TestOlsFit:
@@ -184,25 +186,20 @@ class TestQuantileFit:
 
 class TestQuantileFitAgainstPrimalLP:
     """The basis walk against an independent primal LP on each level: its
-    objective is no worse than the LP's and the certificate holds.
-
-    Where the argmin is an interval (intercept-only designs at integral
-    tau * rows), the tie-break's LP answers within a 1e-9 relative slack of
-    the optimum and about 1e-8 off the face's end, so those checks allow that
-    slack and count residuals that small as zero.
+    objective is no worse than the LP's and the certificate holds, tied
+    levels included.
     """
 
     TAUS = [0.02, 0.1, 0.25, 0.5, 0.5 + 1e-9, 0.77, 0.9, 0.98]
 
     @staticmethod
-    def check(Z, y, taus, ties=False):
-        slack, zero_tol = (1e-8, 1e-7) if ties else (1e-12, 1e-9)
+    def check(Z, y, taus):
         qf = quantile_fit(Z, y, taus)
         for tau, beta in zip(qf.taus, qf.betas):
             v = mean_pinball(Z, y, tau, beta)
             _, v_lp = pinball_primal_lp(Z, y, tau)
-            assert v <= v_lp + slack * (1.0 + abs(v_lp)), (tau, v, v_lp)
-            margin = pinball_subgradient_margin(Z, y, tau, beta, zero_tol=zero_tol)
+            assert v <= v_lp + 1e-12 * (1.0 + abs(v_lp)), (tau, v, v_lp)
+            margin = pinball_subgradient_margin(Z, y, tau, beta)
             assert margin >= -1e-7 * (1.0 + abs(v))
         return qf
 
@@ -212,7 +209,7 @@ class TestQuantileFitAgainstPrimalLP:
         for rows in (cols + 1, 3 * cols, 80):
             Z = design_matrix(rng.normal(size=(rows, cols - 1)))
             y = Z @ rng.normal(size=cols) + rng.standard_t(2, size=rows)
-            self.check(Z, y, self.TAUS, ties=cols == 1)
+            self.check(Z, y, self.TAUS)
 
     def test_scaled_and_heteroscedastic(self):
         rng = np.random.default_rng(11)
@@ -259,18 +256,85 @@ class TestQuantileFitAgainstPrimalLP:
             Z = design_matrix(rng.integers(-4, 5, size=(60, cols - 1)).astype(float))
             y = Z @ rng.integers(-3, 4, size=cols) * 0.5
             y[::3] += rng.normal(size=20)
-            self.check(Z, y, self.TAUS, ties=True)
+            self.check(Z, y, self.TAUS)
 
     def test_intercept_only_ties(self):
         # repeated values and levels at k/m, where the argmin is an interval
         y = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 4.0, 2.0])
         Z = design_matrix(np.zeros((10, 0)))
         taus = np.arange(1, 20) / 20.0
-        qf = self.check(Z, y, taus, ties=True)
+        qf = self.check(Z, y, taus)
         ordered = np.sort(y)
         # the lower end of the argmin interval: the ceil(tau*m)-th value
         expected = ordered[np.ceil(taus * 10 - 1e-9).astype(int) - 1]
-        assert np.allclose(qf.betas[:, 0], expected, atol=1e-7)
+        assert np.array_equal(qf.betas[:, 0], expected)
+
+
+class TestLexicographicTies:
+    """Every level against exact enumeration of the bases: where the argmin is
+    a face, the walk must return its lexicographically smallest point."""
+
+    TAUS = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+            Fraction(3, 4), Fraction(9, 10)]
+
+    @staticmethod
+    def check(Z, y, taus):
+        qf = quantile_fit(Z, y, [float(t) for t in taus])
+        for tau, beta, exact in zip(taus, qf.betas, pinball_lexmin_bruteforce(Z, y, taus)):
+            expected = np.array([float(v) for v in exact])
+            assert np.allclose(beta, expected, rtol=0.0, atol=1e-9), (tau, beta, expected)
+        return qf
+
+    @staticmethod
+    def certified(Z, y, tau, beta):
+        v = mean_pinball(Z, y, tau, beta)
+        return pinball_subgradient_margin(Z, y, tau, beta) >= -1e-7 * (1.0 + abs(v))
+
+    def test_face_end_is_exact(self):
+        y = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 4.0, 2.0])
+        Z = design_matrix(np.zeros((10, 0)))
+        beta = quantile_fit(Z, y, [0.2]).betas[0]
+        assert beta[0] == 1.0
+        assert mean_pinball(Z, y, 0.2, beta) == pytest.approx(0.32, rel=1e-15)
+        assert self.certified(Z, y, 0.2, beta)
+
+    def test_duplicate_intercept_columns(self):
+        Z = np.ones((10, 2))
+        y = np.arange(1.0, 11.0)
+        beta = quantile_fit(Z, y, [0.5]).betas[0]
+        assert beta.sum() == 5.0  # the lower middle order statistic
+        assert self.certified(Z, y, 0.5, beta)
+
+    def test_tie_along_a_non_coordinate_edge(self):
+        # [-1, 1] is optimal too, and the coordinate directions see no tie there
+        x = np.array([1.0, -1.0, 1.0, -2.0, 2.0, -2.0, -1.0, 1.0, -2.0])
+        y = np.array([0.0, -2.0, 3.0, -1.0, 2.0, -1.0, 2.0, -3.0, -3.0])
+        Z = design_matrix(x)
+        beta = self.check(Z, y, [Fraction(1, 5)]).betas[0]
+        assert np.array_equal(beta, [-3.0, 0.0])
+        other = np.array([-1.0, 1.0])
+        assert mean_pinball(Z, y, 0.2, beta) == pytest.approx(
+            mean_pinball(Z, y, 0.2, other), rel=1e-15
+        )
+        assert self.certified(Z, y, 0.2, beta)
+
+    def test_degenerate_vertex_does_not_cycle(self):
+        # crossing times equal up to rounding at a vertex where six residuals
+        # vanish; ordered by rounding alone, the walk cycled between two bases
+        cols = np.array([(-2, 2), (-1, 2), (1, -1), (-2, -2), (-2, -1),
+                         (-1, -2), (1, -1), (1, -2), (-2, 2), (-1, 2)], dtype=float)
+        y = np.array([3.0, -1.0, -3.0, 3.0, 1.0, 1.0, -1.0, -3.0, 3.0, -1.0])
+        self.check(design_matrix(cols), y, self.TAUS[:5])
+
+    @pytest.mark.parametrize("first_seed", range(0, 1200, 300))
+    def test_small_integer_designs(self, first_seed):
+        # 7,200 levels of which 920 are tied
+        for seed in range(first_seed, first_seed + 300):
+            rng = np.random.default_rng(seed)
+            cols, rows = 1 + seed % 4, 7 + seed % 5
+            Z = design_matrix(rng.integers(-2, 3, (rows, cols - 1)))
+            y = rng.integers(-3, 4, rows).astype(float)
+            self.check(Z, y, self.TAUS)
 
 
 class TestQuantileFitRankDeficient:
