@@ -148,15 +148,12 @@ def quantile(m: EmpiricalMeasure, t: float) -> float:
 
     Left-continuous step function of ``t`` on (0, 1].
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1], got {t!r}")
-    idx = int(np.searchsorted(m._cum, t, side="left"))
-    return float(m.atoms[min(idx, m.size - 1)])
+    return sample_inverse_transform(m, t)
 
 
-def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray, side: str = "right") -> np.ndarray:
-    """CDF values on a sorted grid; side='left' gives the left limits F(x-)."""
-    idx = np.searchsorted(m.atoms, grid, side=side)
+def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray) -> np.ndarray:
+    """Right-continuous CDF values F(x) at every point x of ``grid``."""
+    idx = np.searchsorted(m.atoms, grid, side="right")
     padded = np.concatenate(([0.0], m._cum))
     return padded[idx]
 
@@ -197,13 +194,14 @@ def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 
 def kolmogorov(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Sup-distance between the two CDFs, checking both one-sided limits."""
+    """Sup-distance between the two CDFs.
+
+    Both are right-continuous steps that jump only at atoms, so each left
+    limit F(x-) is the value at the previous atom of either measure, or 0,
+    and the sup is reached at an atom.
+    """
     merged = np.concatenate([a.atoms, b.atoms])
-    d_right = np.abs(_cdf_on_grid(a, merged) - _cdf_on_grid(b, merged))
-    d_left = np.abs(
-        _cdf_on_grid(a, merged, side="left") - _cdf_on_grid(b, merged, side="left")
-    )
-    return float(max(d_right.max(), d_left.max()))
+    return float(np.abs(_cdf_on_grid(a, merged) - _cdf_on_grid(b, merged)).max())
 
 
 def j_functionals(m: EmpiricalMeasure) -> tuple[float, float]:
@@ -264,11 +262,11 @@ def sample_inverse_transform(m: EmpiricalMeasure, u):
     """Inverse-transform sampling: evaluate the quantile function at u.
 
     Accepts a scalar in (0, 1] or an array of such values; feeding uniform
-    draws reproduces the measure in distribution.
+    draws reproduces the measure in distribution.  NaN is rejected.
     """
     u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
-        raise ValueError("inverse-transform levels must lie in (0, 1]")
+    if not np.all((u_arr > 0.0) & (u_arr <= 1.0)):
+        raise ValueError(f"quantile levels must lie in (0, 1], got {u!r}")
     idx = np.minimum(np.searchsorted(m._cum, u_arr, side="left"), m.size - 1)
     out = m.atoms[idx]
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out

@@ -227,81 +227,64 @@ def _blank_unasked(x: np.ndarray, models: tuple[int, ...]) -> np.ndarray:
 def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> Sampler:
     # Powers are products (z^4 = (z*z)^2, sin^3 = (s*s)*s), not libm pow, and
     # every term is built in one of three reused buffers with in-place ufuncs,
-    # so a draw holds at most the uniforms, x and three rows of scratch.  Each
-    # output is its terms summed left to right,
-    #   Y = s1 + a s2^2 + b z3^4 s1 + c s4^3 + d s5^4,
-    # and swapping the operands of one add or multiply is exact, so every
-    # request computes the joint draw's values bit for bit.
+    # so a draw holds at most the uniforms, x and three rows of scratch.  Y is
+    # one chain of partial sums in s2sq's buffer,
+    #   Y = a s2^2 + s1 + b z3^4 s1 + c s4^3 + d s5^4,
+    # which the perfect variant's X2 and X1 copy out of; the approx variant
+    # builds its two heads k s2^2 + s1 + t apart.  The chain stops at the last
+    # output asked for, and swapping the operands of one add or multiply is
+    # exact, so every request computes the joint draw's values bit for bit.
+    perfect = variant == "perfect"
+
     def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
         z = rng.uniform(-np.pi, np.pi, size=(size, 5))
-        y = None
         x = _blank_unasked(np.empty((size, 2)), models) if models[-1] > 0 else None
         s1 = np.sin(z[:, 0])
         s2sq = np.sin(z[:, 1])
         s2sq *= s2sq
         term = np.empty(size)
-        if variant == "perfect":
-            # X2 and X1 are partial sums of Y, so no term is computed twice;
-            # the sum is built in s2sq's buffer
-            part = s2sq
-            part *= a
-            part += s1
-            np.multiply(z[:, 2], z[:, 2], out=term)
-            term *= term
-            term *= b
-            term *= s1
-            part += term
-            if 2 in models:
-                x[:, 1] = part
-            if models[0] <= 1:
-                np.sin(z[:, 3], out=term)
-                cube = np.multiply(term, term, out=s1)
-                cube *= term
-                cube *= c
-                part += cube
-                if 1 in models:
-                    x[:, 0] = part
-                if models[0] == 0:
-                    np.sin(z[:, 4], out=term)
-                    term *= term
-                    term *= term
-                    term *= d
-                    part += term
-                    y = part
-            return y, x
-        if 2 in models:
+
+        def head(k: float, out: np.ndarray) -> np.ndarray:  # k s2^2 + s1 + term
+            np.multiply(s2sq, k, out=out)
+            out += s1
+            out += term
+            return out
+
+        if not perfect and 2 in models:  # t = 9b z3^2 s1
             np.multiply(z[:, 2], z[:, 2], out=term)
             term *= 9.0 * b
             term *= s1
-            np.multiply(s2sq, 0.6 * a, out=x[:, 1])
-            x[:, 1] += s1
-            x[:, 1] += term
-        if models[0] <= 1:
-            # b z3^4 s1 is the same term in Y and X1
-            np.multiply(z[:, 2], z[:, 2], out=term)
-            term *= term
-            term *= b
-            term *= s1
-            if 1 in models:
-                np.multiply(s2sq, 0.95 * a, out=x[:, 0])
-                x[:, 0] += s1
-                x[:, 0] += term
-            if models[0] == 0:
-                y = s2sq
-                y *= a
-                y += s1
-                y += term
-                np.sin(z[:, 3], out=term)
-                cube = np.multiply(term, term, out=s1)
-                cube *= term
-                cube *= c
-                y += cube
-                np.sin(z[:, 4], out=term)
-                term *= term
-                term *= term
-                term *= d
-                y += term
-        return y, x
+            head(0.6 * a, x[:, 1])
+        if not perfect and models[0] > 1:
+            return None, x
+        np.multiply(z[:, 2], z[:, 2], out=term)  # t = b z3^4 s1, in Y and approx's X1
+        term *= term
+        term *= b
+        term *= s1
+        if not perfect and 1 in models:
+            head(0.95 * a, x[:, 0])
+        if not perfect and models[0] > 0:
+            return None, x
+        part = head(a, s2sq)
+        if perfect and 2 in models:
+            x[:, 1] = part
+        if models[0] > 1:
+            return None, x
+        np.sin(z[:, 3], out=term)
+        cube = np.multiply(term, term, out=s1)
+        cube *= term
+        cube *= c
+        part += cube
+        if perfect and 1 in models:
+            x[:, 0] = part
+        if models[0] > 0:
+            return None, x
+        np.sin(z[:, 4], out=term)
+        term *= term
+        term *= term
+        term *= d
+        part += term
+        return part, x
 
     return sample
 
@@ -407,18 +390,15 @@ class SampleTable:
             reader = csv.reader(fh)
             next(reader)
             try:
-                for lineno, row in enumerate(reader, start=2):
+                for row in reader:
                     if len(row) != n + 1:
-                        raise TableParseError(
-                            f"{path}: line {lineno}: expected {n + 1} fields, got {len(row)}"
-                        )
-                    try:
-                        values = [float(v) for v in row]
-                    except ValueError as exc:
-                        raise TableParseError(f"{path}: line {lineno}: {exc}") from None
+                        raise ValueError(f"expected {n + 1} fields, got {len(row)}")
+                    values = [float(v) for v in row]
                     y_rows.append(values[0])
                     x_rows.append(values[1:])
-            except csv.Error as exc:  # e.g. a field over csv's size limit
+            # csv.Error: e.g. a field over csv's size limit; line_num is the
+            # physical line the record ends on, past any quoted newline
+            except (ValueError, csv.Error) as exc:
                 raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None
         if not y_rows:
             raise TableParseError(f"{path}: table has a header but no data rows")

@@ -42,6 +42,24 @@ def w1_quantile_grid(measure_a, measure_b) -> float:
     return total
 
 
+def kolmogorov_bruteforce(measure_a, measure_b) -> float:
+    """Sup-distance between two CDFs from both one-sided limits at every atom.
+
+    At each atom x of either measure, F(x) and F(x-) of each measure come
+    from their own ``searchsorted`` calls (right and left) on the measure's
+    cumulative weights; the sup is the largest gap of either kind.
+    """
+    grid = np.concatenate([measure_a.atoms, measure_b.atoms])
+    gaps = []
+    for side in ("right", "left"):
+        values = [
+            np.concatenate(([0.0], m._cum))[np.searchsorted(m.atoms, grid, side=side)]
+            for m in (measure_a, measure_b)
+        ]
+        gaps.append(np.abs(values[0] - values[1]).max())
+    return float(max(gaps))
+
+
 def w1_exact_vs_uniform01(samples) -> float:
     """Exact L1 distance between a sample ECDF and the Unif(0,1) CDF.
 
@@ -265,15 +283,15 @@ def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != n + 1:
                 raise TableParseError(
-                    f"{path}: line {lineno}: expected {n + 1} fields, got {len(row)}"
+                    f"{path}: line {reader.line_num}: expected {n + 1} fields, got {len(row)}"
                 )
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:
-                raise TableParseError(f"{path}: line {lineno}: {exc}") from None
+                raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None
             y_rows.append(values[0])
             x_rows.append(values[1:])
     if not y_rows:

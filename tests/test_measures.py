@@ -15,7 +15,12 @@ from mfdist.measures import (
     wasserstein1,
 )
 
-from oracles import moments_float_powers, w1_bruteforce_assignment, w1_quantile_grid
+from oracles import (
+    kolmogorov_bruteforce,
+    moments_float_powers,
+    w1_bruteforce_assignment,
+    w1_quantile_grid,
+)
 
 
 def uniform_measure(*atoms) -> EmpiricalMeasure:
@@ -102,6 +107,14 @@ class TestCdfAndQuantile:
         m = uniform_measure(2.0, 5.0, 7.0)
         for t in (0.2, 0.34, 0.99, 1.0):
             assert sample_inverse_transform(m, t) == quantile(m, t)
+
+    def test_nan_level_rejected(self):
+        m = uniform_measure(1.0, 2.0, 3.0)
+        for u in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError):
+                sample_inverse_transform(m, u)
+            with pytest.raises(ValueError):
+                quantile(m, u)
 
     def test_inverse_transform_reproduces_measure(self):
         m = uniform_measure(-1.0, 0.0, 2.0, 2.0)
@@ -255,6 +268,20 @@ class TestKolmogorov:
         a = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.9, 0.1]))
         b = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.1, 0.9]))
         assert kolmogorov(a, b) == pytest.approx(0.8, abs=1e-15)
+
+    def test_matches_both_one_sided_limits(self):
+        # weighted measures on a few integers: many atoms tie within and
+        # across the two measures, so left limits differ from the values
+        rng = np.random.default_rng(20261018)
+
+        def tied_measure():
+            n = int(rng.integers(1, 10))
+            w = rng.random(n) + 0.05
+            return EmpiricalMeasure(np.sort(rng.integers(-4, 5, size=n)).astype(float), w / w.sum())
+
+        for _ in range(2000):
+            a, b = tied_measure(), tied_measure()
+            assert kolmogorov(a, b) == kolmogorov_bruteforce(a, b), (a.atoms, b.atoms)
 
 
 class TestJFunctionals:

@@ -146,6 +146,27 @@ class TestSubsetDraws:
             yn, xn = suite.draw(rng, 700)
             assert yn.tobytes() == y_next.tobytes() and xn.tobytes() == x_next.tobytes()
 
+    # the Ishigami parameter sets of test_requests_match_the_joint_draw
+    @pytest.mark.parametrize(
+        "a,b,c,d",
+        [
+            (5.0, 0.1, 1.0, 0.1),
+            (5.0, 0.1, 0.0, 0.0),
+            (5.0, 0.1, -2.0, 0.0),
+            (5.0, 0.1, 0.7, -0.3),
+            (-3.0, -0.2, 1.0, 0.1),
+            (-5.0, -0.1, 0.7, -0.3),
+            (5.0, 0.0, 1.0, 0.1),
+            (5.0, 0.0, 0.7, -0.3),
+        ],
+    )
+    def test_variants_draw_the_same_y(self, a, b, c, d):
+        # the variants differ only in their surrogates; one sampler body builds Y
+        perfect, approx = (ishigami_suite(v, a, b, c, d) for v in ("perfect", "approx"))
+        y, _ = perfect.draw(np.random.default_rng(23), 1000)
+        ya, _ = approx.draw(np.random.default_rng(23), 1000)
+        assert y.tobytes() == ya.tobytes()
+
     def test_default_is_the_joint_draw(self):
         suite = ishigami_suite("perfect")
         y, x = suite.draw(np.random.default_rng(4), 50)
@@ -439,11 +460,13 @@ class TestTableFastPath:
             ("\r1,2,3\r4,5,6\r", None),
             ("\r\n1,2,3\r\n4,5,6\r\n", None),
             ("\n1,2,3\n4,5,6", None),
+            ('\n"1\n",2,3\n1,2,x\n', "line 4: could not convert string to float: 'x'"),
         ],
         ids=[
             "blank-middle", "blank-end", "blank-only", "whitespace-line", "too-wide",
             "too-narrow", "cr-then-blank", "separator-byte", "separator-byte-last",
             "quoted", "underscore", "arabic-digits", "cr", "crlf", "no-final-newline",
+            "after-quoted-newline",
         ],
     )
     def test_traps_read_as_the_line_loop(self, tmp_path, after_header, expected):
