@@ -6,6 +6,8 @@ surrogate models and exploitation of the best regression emulator, with all
 errors measured in the exact 1-Wasserstein metric.
 """
 
+import types as _types
+
 from .bench import (
     ExperimentConfig,
     ResultRow,
@@ -60,46 +62,9 @@ from .regress import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmpiricalMeasure",
-    "ExperimentConfig",
-    "FeatureMap",
-    "FitResult",
-    "ModelSuite",
-    "MomentSummary",
-    "PolicyState",
-    "QuantileFit",
-    "ResultRow",
-    "SampleTable",
-    "SubsetScore",
-    "aetc_d_step",
-    "cdf_at",
-    "design_matrix",
-    "efficiency_ratio",
-    "expanded_suite",
-    "exploit",
-    "fit_tradeoff_curve",
-    "ishigami_suite",
-    "j_functionals",
-    "kolmogorov",
-    "moment_summary",
-    "ols_fit",
-    "optimal_exploration",
-    "oracle_optimum",
-    "pilot_statistics",
-    "pinball_loss",
-    "quantile",
-    "quantile_fit",
-    "run_aetc_d",
-    "run_ecdf_y",
-    "run_experiment",
-    "run_fixed_m",
-    "run_statistics_comparison",
-    "sample_inverse_transform",
-    "score_subsets",
-    "start_exploration",
-    "suite_from_config",
-    "surrogate_loss",
-    "table_suite",
-    "wasserstein1",
-]
+# the names imported above, each written once
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -37,8 +37,7 @@ class EmpiricalMeasure:
     ``atoms`` must be sorted non-decreasing and finite; ``weights`` strictly
     positive and summing to 1 within 1e-12.  Instances are immutable (the
     arrays are frozen) and safe to share across threads.  Duplicate atoms are
-    retained; use :meth:`merge_duplicates` if a minimal representation is
-    wanted.
+    retained.
     """
 
     atoms: np.ndarray
@@ -91,10 +90,6 @@ class EmpiricalMeasure:
     def size(self) -> int:
         return int(self.atoms.size)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.atoms[0]), float(self.atoms[-1])
-
     def _prefix_sums(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(shift, [0, _cum], [0, cumsum(weights * (atoms - shift))]).
 
@@ -111,15 +106,6 @@ class EmpiricalMeasure:
             integral.flags.writeable = False
             object.__setattr__(self, "_prefix", (shift, levels, integral))
         return self._prefix
-
-    def merge_duplicates(self) -> "EmpiricalMeasure":
-        """Equivalent measure with distinct atoms (weights of duplicates summed)."""
-        uniq, inverse = np.unique(self.atoms, return_inverse=True)
-        if uniq.size == self.atoms.size:
-            return self
-        w = np.zeros(uniq.size)
-        np.add.at(w, inverse, self.weights)
-        return EmpiricalMeasure(uniq, w / w.sum())
 
 
 @dataclass(frozen=True)

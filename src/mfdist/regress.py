@@ -23,7 +23,6 @@ __all__ = [
     "design_matrix",
     "ols_fit",
     "pinball_loss",
-    "pinball_subgradient_margin",
     "quantile_fit",
 ]
 
@@ -49,18 +48,6 @@ class QuantileFit:
 
     taus: np.ndarray
     betas: np.ndarray  # shape (len(taus), cols)
-
-    def __post_init__(self) -> None:
-        taus = np.asarray(self.taus, dtype=np.float64)
-        betas = np.asarray(self.betas, dtype=np.float64)
-        if taus.ndim != 1 or np.any(np.diff(taus) <= 0):
-            raise ValueError("quantile levels must be strictly increasing")
-        if np.any(taus <= 0) or np.any(taus >= 1):
-            raise ValueError("quantile levels must lie in (0, 1)")
-        if betas.shape[0] != taus.size or not np.all(np.isfinite(betas)):
-            raise ValueError("one finite coefficient vector is required per level")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "betas", betas)
 
     def predict(self, features_with_intercept: np.ndarray, level_idx) -> np.ndarray:
         """Evaluate x^T beta(tau) rowwise, with a level index per row."""
@@ -127,35 +114,6 @@ def pinball_loss(x, tau: float):
     return float(out) if np.isscalar(x) else out
 
 
-def _mean_pinball(Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray) -> float:
-    return float(np.mean(pinball_loss(y - Z @ beta, tau)))
-
-
-def pinball_subgradient_margin(Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray) -> float:
-    """Smallest one-sided directional derivative of the mean pinball loss at
-    ``beta`` over the signed coordinate directions.
-
-    A nonnegative return certifies (coordinate-wise) first-order optimality;
-    a return of ~0 with optimality indicates a flat edge, i.e. a tied argmin.
-    Residuals within 1e-9 * max(1, max|y|) of zero count as zero.
-    """
-    r = y - Z @ beta
-    band = 1e-9 * max(1.0, float(np.max(np.abs(y))))
-    pos = r > band
-    neg = r < -band
-    zero = ~(pos | neg)
-    m = y.size
-    margins = []
-    for j in range(Z.shape[1]):
-        for sign in (1.0, -1.0):
-            a = sign * Z[:, j]
-            g = -tau * a[pos].sum() + (1.0 - tau) * a[neg].sum()
-            g += tau * np.maximum(-a[zero], 0.0).sum()
-            g += (1.0 - tau) * np.maximum(a[zero], 0.0).sum()
-            margins.append(g / m)
-    return float(min(margins))
-
-
 def _lex_descent_edge(slopes: np.ndarray, W: np.ndarray, Zh_inv: np.ndarray) -> int | None:
     """A flat edge along which beta's first changing coefficient falls, the
     earliest such coefficient first; None at the face's lexicographically
@@ -184,6 +142,15 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     weighted median of its residual sign changes, and the row crossing zero
     there replaces row k.
 
+    Vertices, edges and W do not change when the coefficients change
+    coordinates, so the walk takes W = Q inv(Q_h) and the residuals from the
+    orthonormal factor Q of Z = QR, whose rounding does not grow with
+    cond(Z); each level's beta is solved from Z's basis rows.  The walk stops
+    at a basis none of whose edges descends: that test, recomputed from
+    scratch at the final basis, is the dual feasibility of the pinball LP
+    (Koenker, *Quantile Regression*, 2005, sec. 2.2), so it is the level's
+    optimality certificate.
+
     A residual off the basis that is zero up to rounding takes its sign from
     a fixed symbolic perturbation y + eps * u of the response (Charnes'
     perturbation), so every vertex is nondegenerate: the edge test is then a
@@ -200,28 +167,28 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """
     m, p = Z.shape
     h = np.sort(qr(Z.T, mode="r", pivoting=True)[1][:p])
+    Q = qr(Z, mode="economic")[0]
+    q_norm = np.abs(Q).sum(axis=1)
     u = np.random.default_rng(0).uniform(1.0, 2.0, m)
-    z_norm = np.abs(Z).sum(axis=1)
     betas = np.empty((taus.size, p))
     max_pivots = 10 * (m + taus.size)
     pivots = 0
 
     def vertex(h):
-        Zh = Z[h]
-        beta = np.linalg.solve(Zh, y[h])
-        Zh_inv = np.linalg.inv(Zh)
-        W = Z @ Zh_inv
+        Qh_inv = np.linalg.inv(Q[h])
+        W = Q @ Qh_inv
         # rates and residuals below rounding level are zero
-        W[np.abs(W) <= 1e-12 * np.max(np.abs(Zh_inv)) * z_norm[:, None]] = 0.0
-        r = y - Z @ beta
-        r[np.abs(r) <= 1e-12 * (np.abs(y) + z_norm * np.max(np.abs(beta)))] = 0.0
+        W[np.abs(W) <= 1e-12 * np.max(np.abs(Qh_inv)) * q_norm[:, None]] = 0.0
+        gamma = np.linalg.solve(Q[h], y[h])
+        r = y - Q @ gamma
+        r[np.abs(r) <= 1e-12 * (np.abs(y) + q_norm * np.max(np.abs(gamma)))] = 0.0
         r[h] = 0.0
         e = u - W @ u[h]  # the perturbation's residuals
         sign = np.where(r == 0.0, np.sign(e), np.sign(r))
         sign[h] = 0.0
-        return beta, Zh_inv, W, r, e, sign
+        return W, r, e, sign
 
-    beta, Zh_inv, W, r, e, sign = vertex(h)
+    W, r, e, sign = vertex(h)
     for i, tau in enumerate(taus):
         while True:
             # derivatives along the edges that raise (up) or lower (down)
@@ -234,7 +201,9 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
             tol = 1e-12 * np.abs(W[:, k]).sum()
             if descent <= tol:
                 # optimal; past a flat edge the argmin is a face
-                edge = _lex_descent_edge(slopes, W, Zh_inv) if descent >= -tol else None
+                edge = None
+                if descent >= -tol:
+                    edge = _lex_descent_edge(slopes, W, np.linalg.inv(Z[h]))
                 if edge is None:
                     break
                 k, descent = edge % p, 0.0
@@ -259,13 +228,14 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
                 raise QuantileSolverError(f"pinball objective unbounded at tau={tau}")
             h[k] = crossing[order[j]]
             h.sort()
-            beta, Zh_inv, W, r, e, sign = vertex(h)
-        betas[i] = beta
+            W, r, e, sign = vertex(h)
+        betas[i] = np.linalg.solve(Z[h], y[h])
     return betas
 
 
 def _pinball_path(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Exact pinball minimizers at every level, by one basis walk.
+    """Exact pinball minimizers at every level, by one basis walk on the
+    orthonormal factor of the design, whose stop test certifies each level.
 
     A rank-deficient design is reduced to the independent columns picked by
     a pivoted QR; the other coefficients are zero, which leaves the fitted
@@ -282,27 +252,24 @@ def _pinball_path(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def quantile_fit(Z: np.ndarray, y: np.ndarray, taus) -> QuantileFit:
-    """Fit one pinball-loss minimizer per quantile level.
+    """Fit one pinball-loss minimizer per level of a strictly increasing grid.
 
     The levels are solved exactly by one simplex walk over the vertices of
     the pinball objective (:func:`_basis_walk`), each level starting from the
-    previous level's optimal basis.  Every solution must pass
-    :func:`pinball_subgradient_margin`.  When the argmin is a face rather than
-    a vertex, the walk returns its lexicographically smallest point, so e.g.
-    an even-sample median resolves to the lower middle order statistic (on a
-    rank-deficient design, among the points zero off the columns kept).
+    previous level's optimal basis.  The walk runs on the orthonormal factor
+    of the design, and its stop test, dual feasibility of the final basis, is
+    each level's optimality certificate; a walk that exceeds its pivot cap or
+    finds the objective unbounded raises :class:`QuantileSolverError`.  When
+    the argmin is a face rather than a vertex, the walk returns its
+    lexicographically smallest point, so e.g. an even-sample median resolves
+    to the lower middle order statistic (on a rank-deficient design, among
+    the points zero off the columns kept).
     """
     Z, y = _check_design(Z, y)
     taus = np.asarray(taus, dtype=np.float64)
+    if taus.ndim != 1 or np.any(np.diff(taus) <= 0.0):
+        raise ValueError("quantile levels must form a strictly increasing 1-d grid")
     bad = ~((taus > 0.0) & (taus < 1.0))
     if np.any(bad):
         raise ValueError(f"tau must lie in (0, 1), got {taus[bad][0]!r}")
-    betas = _pinball_path(Z, y, taus)
-    for tau, beta in zip(taus.tolist(), betas):
-        margin = pinball_subgradient_margin(Z, y, tau, beta)
-        if margin < -1e-7 * (1.0 + abs(_mean_pinball(Z, y, tau, beta))):
-            raise QuantileSolverError(
-                f"pinball solution at tau={tau} fails the subgradient check "
-                f"(margin {margin:.3e})"
-            )
-    return QuantileFit(taus=taus, betas=betas)
+    return QuantileFit(taus=taus, betas=_pinball_path(Z, y, taus))

@@ -215,6 +215,64 @@ def pinball_primal_lp(Z: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndar
     return beta, float(np.mean(np.where(r < 0.0, (tau - 1.0) * r, tau * r)))
 
 
+def pinball_subgradient_margin(Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray) -> float:
+    """Smallest one-sided directional derivative of the mean pinball loss at
+    ``beta`` over the signed coordinate directions.
+
+    A nonnegative return certifies (coordinate-wise) first-order optimality;
+    a return of ~0 with optimality indicates a flat edge, i.e. a tied argmin.
+    Residuals within 1e-9 * max(1, max|y|) of zero count as zero.
+    """
+    r = y - Z @ beta
+    band = 1e-9 * max(1.0, float(np.max(np.abs(y))))
+    pos = r > band
+    neg = r < -band
+    zero = ~(pos | neg)
+    m = y.size
+    margins = []
+    for j in range(Z.shape[1]):
+        for sign in (1.0, -1.0):
+            a = sign * Z[:, j]
+            g = -tau * a[pos].sum() + (1.0 - tau) * a[neg].sum()
+            g += tau * np.maximum(-a[zero], 0.0).sum()
+            g += (1.0 - tau) * np.maximum(a[zero], 0.0).sum()
+            margins.append(g / m)
+    return float(min(margins))
+
+
+def _dyadic(a) -> tuple[list[int], int]:
+    """Integers n and one exponent e with a == n * 2**e exactly, entry by
+    entry, for a float array read in row-major order."""
+    mantissa, exponent = np.frexp(np.asarray(a, dtype=np.float64).ravel())
+    ints = (mantissa * 2.0**53).astype(np.int64).tolist()
+    exponent = (exponent.astype(np.int64) - 53).tolist()
+    e = min(exponent)
+    return [n << (x - e) for n, x in zip(ints, exponent)], e
+
+
+def pinball_loss_exact(Z, y, tau, beta) -> Fraction:
+    """Mean pinball loss of ``beta`` in exact rationals, each float read as
+    the binary fraction it is.
+
+    Every float is an integer times a power of two, so every residual is
+    formed in integers over one common power of two, with no rounding.
+    """
+    m, p = np.shape(Z)
+    zi, ez = _dyadic(Z)
+    bi, eb = _dyadic(beta)
+    yi, ey = _dyadic(y)
+    e = min(ez + eb, ey)
+    above = below = 0
+    for i in range(m):
+        r = (yi[i] << (ey - e)) - (sum(zi[i * p + j] * bi[j] for j in range(p)) << (ez + eb - e))
+        if r > 0:
+            above += r
+        else:
+            below -= r
+    tau = Fraction(tau)
+    return (tau * above + (1 - tau) * below) * Fraction(2) ** e / m
+
+
 def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """x with A x = b by Gauss-Jordan elimination in rationals; None if A is
     singular."""

@@ -5,14 +5,20 @@ import pytest
 
 from mfdist.errors import InsufficientSampleError
 from mfdist.regress import (
+    QuantileFit,
     design_matrix,
     ols_fit,
     pinball_loss,
-    pinball_subgradient_margin,
     quantile_fit,
 )
 
-from oracles import ols_normal_equations_mp, pinball_lexmin_bruteforce, pinball_primal_lp
+from oracles import (
+    ols_normal_equations_mp,
+    pinball_lexmin_bruteforce,
+    pinball_loss_exact,
+    pinball_primal_lp,
+    pinball_subgradient_margin,
+)
 
 
 class TestOlsFit:
@@ -182,6 +188,8 @@ class TestQuantileFit:
             quantile_fit(Z, y, [0.5, 0.5])
         with pytest.raises(ValueError):
             quantile_fit(Z, y, [0.0, 0.5])
+        with pytest.raises(ValueError):
+            quantile_fit(Z, y, [0.6, 0.4])
 
 
 class TestQuantileFitAgainstPrimalLP:
@@ -268,6 +276,46 @@ class TestQuantileFitAgainstPrimalLP:
         # the lower end of the argmin interval: the ceil(tau*m)-th value
         expected = ordered[np.ceil(taus * 10 - 1e-9).astype(int) - 1]
         assert np.array_equal(qf.betas[:, 0], expected)
+
+    def test_rejects_a_vertex_one_pivot_short(self, monkeypatch):
+        # where the basis changes between two levels, the earlier level's
+        # optimum is a vertex short of the later one's: the checks above
+        # must reject it at the later level, every time
+        rng = np.random.default_rng(61)
+        x = rng.uniform(0.0, 2.0, 120)
+        Z, y = design_matrix(x), x * (1.0 + rng.uniform(-1.0, 1.0, 120))
+        taus = np.arange(1, 101) / 101.0
+        betas = quantile_fit(Z, y, taus).betas
+        moved = np.flatnonzero(np.any(betas[1:] != betas[:-1], axis=1)) + 1
+        assert moved.size >= 50
+        for i in moved:
+            stale = QuantileFit(taus=taus[i:i + 1], betas=betas[i - 1:i])
+            monkeypatch.setitem(globals(), "quantile_fit", lambda Z, y, taus: stale)
+            with pytest.raises(AssertionError):
+                self.check(Z, y, stale.taus)
+
+
+class TestQuantileFitNearCollinear:
+    """Two surrogates that are nearly the same model, as multifidelity designs
+    often hold: x2 = x1 + 1e-7 noise and a response that weighs their
+    difference by 5e6, so cond(Z) ~ 1e7.  A walk whose zero tests round at
+    cond(Z) * eps cycled into its pivot cap or failed a certificate on 98 of
+    these 150 designs."""
+
+    @pytest.mark.parametrize("first_seed", range(0, 150, 50))
+    def test_no_fit_raises_and_losses_match_highs(self, first_seed):
+        taus = np.arange(1, 101) / 101.0
+        for seed in range(first_seed, first_seed + 50):
+            rng = np.random.default_rng(seed)
+            x1 = rng.normal(size=80)
+            x2 = x1 + 1e-7 * rng.normal(size=80)
+            y = x1 + 5e6 * (x2 - x1) + 0.5 * rng.normal(size=80)
+            Z = design_matrix(np.column_stack([x1, x2]))
+            qf = quantile_fit(Z, y, taus)
+            for tau, beta in zip(taus[::10], qf.betas[::10]):
+                v = pinball_loss_exact(Z, y, tau, beta)
+                v_lp = pinball_loss_exact(Z, y, tau, pinball_primal_lp(Z, y, tau)[0])
+                assert v <= v_lp * (1 + Fraction(1, 10**8)), (seed, tau, float(v / v_lp - 1))
 
 
 class TestLexicographicTies:
