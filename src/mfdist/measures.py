@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
+# two uniform measures whose sizes differ by at most this factor are compared
+# piece by piece, in O(M); a larger ratio leaves the O(n log M) search path
+# against the larger measure's cached prefix sums cheaper
+_UNIFORM_RATIO = 16
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,14 +40,17 @@ class EmpiricalMeasure:
     """Weighted empirical measure on the real line.
 
     ``atoms`` must be sorted non-decreasing and finite; ``weights`` strictly
-    positive and summing to 1 within 1e-12.  Instances are immutable (the
-    arrays are frozen) and safe to share across threads.  Duplicate atoms are
-    retained.
+    positive and summing to 1 within 1e-12.  Equal weights are read as the
+    uniform law: its cumulative levels are exactly i/N (correctly rounded),
+    so a sample and its k-fold repetition are the same measure.  Instances
+    are immutable (the arrays are frozen) and safe to share across threads.
+    Duplicate atoms are retained.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
     _cum: np.ndarray = field(init=False, repr=False)
+    _uniform: bool = field(init=False, repr=False)
     _prefix: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -65,14 +73,20 @@ class EmpiricalMeasure:
         total = float(weights.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
-        cum = np.cumsum(weights)
-        cum[-1] = 1.0  # guard the top quantile against accumulated roundoff
+        uniform = bool(weights.min() == weights.max())
+        if uniform:
+            cum = np.arange(1.0, atoms.size + 1.0)
+            cum /= atoms.size
+        else:
+            cum = np.cumsum(weights)
+            cum[-1] = 1.0  # guard the top quantile against accumulated roundoff
         atoms.flags.writeable = False
         weights.flags.writeable = False
         cum.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_uniform", uniform)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalMeasure":
@@ -95,13 +109,23 @@ class EmpiricalMeasure:
 
         Built on first use and frozen like ``_cum``.  ``shift`` is the mean,
         so the second prefix sum stays of the order of the spread instead of
-        cancelling at the order of the atoms.  Threads racing on a shared
-        measure build identical arrays, so whichever store lands is correct.
+        cancelling at the order of the atoms; it is accumulated in extended
+        precision and rounded once, so its error does not grow with the size.
+        Threads racing on a shared measure build identical arrays, so
+        whichever store lands is correct.
         """
         if self._prefix is None:
             shift = float(self.weights @ self.atoms)
             levels = np.concatenate(([0.0], self._cum))
-            integral = np.concatenate(([0.0], np.cumsum(self.weights * (self.atoms - shift))))
+            integral = np.zeros(self.size + 1)
+            np.subtract(self.atoms, shift, out=integral[1:])
+            integral[1:] *= self.weights
+            carry = np.longdouble(0.0)
+            for start in range(1, self.size + 1, _CHUNK):
+                part = np.cumsum(integral[start:start + _CHUNK], dtype=np.longdouble)
+                part += carry
+                carry = part[-1]
+                integral[start:start + _CHUNK] = part
             levels.flags.writeable = False
             integral.flags.writeable = False
             object.__setattr__(self, "_prefix", (shift, levels, integral))
@@ -144,23 +168,55 @@ def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray) -> np.ndarray:
     return padded[idx]
 
 
+def _w1_uniform(small: EmpiricalMeasure, large: EmpiricalMeasure) -> float:
+    """W1 of two uniform measures, n = small.size <= M = large.size.
+
+    In units of 1/(nM) the larger measure's quantile block j is [jn, (j+1)n).
+    It meets the smaller measure's blocks i = floor(jn/M) and i + 1 only, for
+    integer lengths h = min((i+1)M - jn, n) and n - h.  So the integral is a
+    sum of integer-weighted |differences| with no search and no prefix sum,
+    taken over fixed chunks of j so temporaries stay O(chunk).
+    """
+    n, m = small.size, large.size
+    x = small.atoms
+    total = 0.0
+    for start in range(0, m, _CHUNK):
+        y = large.atoms[start:start + _CHUNK]
+        jn = np.arange(start * n, (start + y.size) * n, n)
+        i = jn // m
+        h = (i + 1) * m - jn
+        np.minimum(h, n, out=h)
+        near = np.abs(x[i] - y)
+        near *= h
+        np.minimum(i + 1, n - 1, out=i)
+        far = np.abs(x[i] - y)
+        far *= n - h
+        total += float(near.sum()) + float(far.sum())
+    return total / (n * m)
+
+
 def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact 1-Wasserstein distance: the L1 distance between the two CDFs.
 
-    Equal sizes sum |F_a - F_b| over the merged atom grid.  Otherwise the
-    distance is the L1 distance between the quantile functions, integrated
-    over the smaller measure's blocks (lo, hi] of constant quantile x: the
-    larger measure's quantile crosses x once, at u* = clip(F(x), lo, hi), and
-    both one-signed pieces come from its cached prefix sums.  That costs
-    O(n log M) with n < M and sorts nothing.  No sampling, no approximation.
+    Equal weights are read as the uniform law, with levels exactly i/N.  Two
+    uniform measures whose sizes differ by at most a factor 16 integrate
+    |Q_a - Q_b| over integer-length quantile pieces, in O(n + M) arithmetic.
+    Other equal-size pairs sum |F_a - F_b| over the merged atom grid.
+    Otherwise the distance is integrated over the smaller measure's blocks
+    (lo, hi] of constant quantile x: the larger measure's quantile crosses x
+    once, at u* = clip(F(x), lo, hi), and both one-signed pieces come from
+    its cached prefix sums.  That costs O(n log M) with n < M and sorts
+    nothing.  No sampling, no approximation.
     """
+    small, large = (a, b) if a.size <= b.size else (b, a)
+    if a._uniform and b._uniform and large.size <= _UNIFORM_RATIO * small.size:
+        return _w1_uniform(small, large)
     if a.size == b.size:
         merged = np.sort(np.concatenate([a.atoms, b.atoms]), kind="stable")
         gaps = np.diff(merged)
         fa = _cdf_on_grid(a, merged[:-1])
         fb = _cdf_on_grid(b, merged[:-1])
         return float(np.abs(fa - fb) @ gaps)
-    small, large = (a, b) if a.size < b.size else (b, a)
     shift, levels, integral = large._prefix_sums()
 
     def integral_to(u: np.ndarray) -> np.ndarray:
@@ -225,8 +281,12 @@ def moment_summary(m: EmpiricalMeasure) -> MomentSummary:
             )
     w = m.weights
     mean = float(w @ m.atoms)
-    # products, not float powers: each x**3 or x**4 element is a libm pow call
     dev = m.atoms - mean
+    # a second centring takes out the rounding of the first mean
+    shift = float(w @ dev)
+    dev -= shift
+    mean += shift
+    # products, not float powers: each x**3 or x**4 element is a libm pow call
     sq = dev * dev
     m2 = float(w @ sq)
     dev *= sq

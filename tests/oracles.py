@@ -29,17 +29,40 @@ def w1_bruteforce_assignment(a, b) -> float:
 
 
 def w1_quantile_grid(measure_a, measure_b) -> float:
-    """Quantile-representation integral on the merged cumulative-weight grid."""
+    """Quantile-representation integral on the merged cumulative-weight grid.
+
+    The grid is the measures' own stored levels, so each piece's quantiles
+    are looked up on the levels that define them.
+    """
     from mfdist.measures import quantile
 
-    grid = np.union1d(np.cumsum(measure_a.weights), np.cumsum(measure_b.weights))
-    grid = np.concatenate(([0.0], np.minimum(grid, 1.0)))
+    grid = np.concatenate(([0.0], np.union1d(measure_a._cum, measure_b._cum)))
     total = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
         if hi <= lo:
             continue
         total += (hi - lo) * abs(quantile(measure_a, hi) - quantile(measure_b, hi))
     return total
+
+
+def w1_uniform_exact(x, y) -> Fraction:
+    """Exact W1 of the ideal uniform measures (weights exactly 1/n, 1/m).
+
+    Both quantile functions are steps on the rational grids i/n and j/m; a
+    two-pointer merge walks the pieces between consecutive breakpoints, in
+    units of 1/(n m), and sums |x_i - y_j| times each length in rationals.
+    """
+    xs = sorted(Fraction(float(v)) for v in x)
+    ys = sorted(Fraction(float(v)) for v in y)
+    n, m = len(xs), len(ys)
+    total, i, j, pos = Fraction(0), 0, 0, 0
+    while pos < n * m:
+        end = min((i + 1) * m, (j + 1) * n)
+        total += (end - pos) * abs(xs[i] - ys[j])
+        pos = end
+        i += end == (i + 1) * m
+        j += end == (j + 1) * n
+    return total / (n * m)
 
 
 def kolmogorov_bruteforce(measure_a, measure_b) -> float:
@@ -123,13 +146,16 @@ def w1_aligned_uniform(
 def moments_float_powers(atoms, weights) -> tuple[float, float, float, float]:
     """Mean, unbiased variance, skewness and kurtosis from float powers.
 
-    The centred formula of ``moment_summary`` with ``**`` in place of
+    The twice-centred formula of ``moment_summary`` with ``**`` in place of
     products, so the two differ only in the rounding of the third and fourth
     powers.
     """
     w = np.asarray(weights, dtype=np.float64)
     mean = float(w @ atoms)
     centered = np.asarray(atoms, dtype=np.float64) - mean
+    shift = float(w @ centered)
+    centered -= shift
+    mean += shift
     m2 = float(w @ centered**2)
     m3 = float(w @ centered**3)
     m4 = float(w @ centered**4)

@@ -580,28 +580,28 @@ class TestGoldenOutputs:
     }
     RESULTS = {
         "sampled": (
-            "09d2b5a461470709542f62bc165945ead1341a0c3d31d5beee0e48f6c6a0fdf5",
-            "3c5c7cbcb94a0d2e78be37db6c09c5ccac4df215f4d1a19114969cffdc23b4be",
+            "b2ed0c6ee09540bdb4a9fb70178e218a0317b78beaf50223ea7d7094065ee5b7",
+            "e9a17fa6eaa537ba9a5b7bfeeff5473d38d7d6f8cdefb56294a6d1ebf9eb6a9b",
         ),
         "full": (
-            "e27a9976fe949c03cc4cb29d021d78c1a56747959a39202c87200cd1ffdffd47",
-            "654441371713db92714b80550603b7c2ddf01dda68a5d62ddf3398eb45863061",
+            "ee53574087b4912274335ac1adea2ef22af7f50831f91b2c7642e8ff1bcd06c1",
+            "72ead33bd52221390c649e764edd942255dc20d131c38fc6afc09206570f205a",
         ),
     }
     # the policy traces do not depend on the eval mode
     TRACES = {
-        "aetc-d-no_B1000_r0.jsonl": "7690dc99f26a1a30bb4ace891adc1b41bb92109101027a150f7aa904842d23d1",
-        "aetc-d-no_B1000_r1.jsonl": "1e6529c962dbdbd2f45c085a62a6c2e57bd3862abecfd8712616401314d19b43",
+        "aetc-d-no_B1000_r0.jsonl": "96683eb2a9a7240242fa7cf17b2bd254cc6ca8b4d2c37d1174534dfaf031148a",
+        "aetc-d-no_B1000_r1.jsonl": "f6fdd9c845b53f9c0667d06e8f4d0d5b5e45ba7bb540e775a4a0663809ed43fa",
         "aetc-d-no_B300_r0.jsonl": "92f939babd72bbc99e4c6ac03cdb96d42aa99c29551a331b1a8e43fc5e0977b0",
-        "aetc-d-no_B300_r1.jsonl": "6ae339a08e27eebe1055956d843b0d36d68a35657c7a7535eb717234f23d977d",
-        "aetc-d-q_B1000_r0.jsonl": "9000e0aaa3536c9068f13672752ea4895114f8d2ea2c4f83ecd6eec9c50951c1",
-        "aetc-d-q_B1000_r1.jsonl": "2e421621dc62ac2ca7f1ad74a37658817e24a188a47414fe15d9c7819f497ae7",
-        "aetc-d-q_B300_r0.jsonl": "67346fbd4f361306b8a726e3c2edf71ccf4eafdc6bcf6caa3f6addbacd1c2c88",
-        "aetc-d-q_B300_r1.jsonl": "cab4129531c18a4a6a621ada57768fd7b7fa4486b4c1a89d4480d84552b87c25",
-        "aetc-d_B1000_r0.jsonl": "fee3f4a22c3b792db5cd9b849f1d8ca0f148813ea07e732a292a01ff0501587d",
-        "aetc-d_B1000_r1.jsonl": "6231ea0535e645df324400ab3436a2679b9744c0094a05e9b2c96114f7549db1",
-        "aetc-d_B300_r0.jsonl": "2f924f0e2351fc3cdc44276a460c1fcb6ad3f63afe6770acb58c44e8bea23464",
-        "aetc-d_B300_r1.jsonl": "4b6894e3fc59efd4b97137058ca5fa70a17c6b926d226d128a3ba4cee75d8efc",
+        "aetc-d-no_B300_r1.jsonl": "03865d497d4e67505cf71d428eec01e3045c2cddccfe4721843157c4dfcedd59",
+        "aetc-d-q_B1000_r0.jsonl": "be04acbdd50a54dd5bd7e02d5cb9447cd71e6ecb0326b87d0f0820c40f9f20e3",
+        "aetc-d-q_B1000_r1.jsonl": "c8261daf3f093e39ce0559e6ad166af6b54b0e85cc06c6f9a69c7d91ff95f25a",
+        "aetc-d-q_B300_r0.jsonl": "654e0f6626b3899bf024c07f6fb3fe5a164928c21b9eb0fa5dbf28bc73ac1583",
+        "aetc-d-q_B300_r1.jsonl": "85a21ffc06a6511ae4d72a5331e203213255ea9a5f61f62e11656e5c87236525",
+        "aetc-d_B1000_r0.jsonl": "2196ce86faebee1fb90be021d25bd6d71c274ce57e93d774686f69311fa25a1e",
+        "aetc-d_B1000_r1.jsonl": "84d3a39e3aeb2e9d7a324ddc6108e6f4b42b5e33dfeba0b6018a7f5d49b88dc9",
+        "aetc-d_B300_r0.jsonl": "1a3884fd97e95ec1da2f7d5b7efed71818b44a9b316761a8eb16d64413723861",
+        "aetc-d_B300_r1.jsonl": "be360652962dd1d6af4ebc2f367f1a8009271c65470d1260947b6c02bbddb1d2",
     }
 
     @pytest.mark.parametrize("mode", ["sampled", "full"])
@@ -636,10 +636,10 @@ class TestGoldenOutputs:
                 "seed": 3,
             },
             (
-                "e30d6604eb80fae4e916bc060f3d62d6d47c87c19144e785a2287bb33b579d0e",
-                "4af65433347263af96d5d6ab3cf13c5c2da32f5b5c6b699cbce05fa0a13a348d",
+                "ac093590eafaebbd226d78fac849faf959ae470aee2eaeb4df2eeee960f3b7eb",
+                "63d46166a53ef9b59eb1f7a6cfa54220ed8816d679d8839300afa81aa7229f63",
             ),
-            "7d62ef8a6b173a162c61725aae54569114086acc09960578c7ada358220b20dc",
+            "8da349079930be8e2d33787aaa004f6430d4bf393175b9d60de61c77e043e0ba",
             30, 30, {(1, 2)},
         ),
         # c = d = 0: every subset fits Y exactly (k1 = 0), so the policy
@@ -655,8 +655,8 @@ class TestGoldenOutputs:
                 "seed": 4,
             },
             (
-                "450945da3fc4498e0b4bb0782b8c2cad3e524b6823e561563cb092b72a79457d",
-                "18f738a8f48e051b2c0878f189efd822084827122fff7bd2ba33538aeecdd348",
+                "984808868edeee951fe86302635d98b14b9ba1cdc5cf9d0d04939f4420eecda4",
+                "be07eb697302bdef18321530fb18dfd2715493c74b86e278a571741e12a223a1",
             ),
             "99c41c5ced27bc103a519b2cb1afd37fd9436962a40a201e0c5ede382679f822",
             8, 0, {(2,)},

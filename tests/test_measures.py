@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -5,6 +8,7 @@ from scipy.stats import wasserstein_distance
 
 from mfdist.errors import InsufficientSampleError
 from mfdist.measures import (
+    _UNIFORM_RATIO,
     EmpiricalMeasure,
     cdf_at,
     j_functionals,
@@ -20,6 +24,7 @@ from oracles import (
     moments_float_powers,
     w1_bruteforce_assignment,
     w1_quantile_grid,
+    w1_uniform_exact,
 )
 
 
@@ -41,6 +46,18 @@ class TestConstruction:
         m = EmpiricalMeasure.from_samples([3.0, 1.0, 2.0, 1.0])
         assert np.array_equal(m.atoms, [1.0, 1.0, 2.0, 3.0])
         assert np.allclose(m.weights, 0.25)
+
+    def test_equal_weights_store_levels_exactly_i_over_n(self):
+        # a cumsum of 1/N drifts from i/N; the uniform law's levels do not,
+        # so a sample and its k-fold repetition share every level they meet
+        for n in (3, 10, 27, 1_000, 100_003):
+            m = EmpiricalMeasure.from_samples(np.zeros(n))
+            assert m._uniform
+            assert np.array_equal(m._cum, np.arange(1, n + 1) / n), n
+            repeated = EmpiricalMeasure.from_samples(np.zeros(19 * n))
+            assert np.array_equal(repeated._cum[18::19], m._cum), n
+        weighted = EmpiricalMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
+        assert not weighted._uniform
 
     def test_duplicates_are_retained(self):
         m = EmpiricalMeasure.from_samples([1.0, 1.0, 1.0])
@@ -147,13 +164,15 @@ def scipy_w1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 
 class TestWassersteinUnequalSizes:
-    """Differential checks of the quantile-block path (sizes n < M).
+    """Differential checks of unequal sizes n < M, on every path.
 
-    Tolerances: against ``w1_quantile_grid`` (exact up to roundoff on the
-    merged cumulative-weight grid) rel 1e-12; against scipy rel 1e-10, because
-    the larger measure's prefix sums are sequential cumsums whose roundoff
-    grows like M * eps (about 1e-11 relative at M = 1e5).  Both are far below
-    the 1e-3 relative error that uncentred prefix sums give on the offset case.
+    Uniform pairs within the uniform path's size ratio take the integer
+    pieces; the others take the quantile-block path against the larger
+    measure's prefix sums.  Tolerances: against ``w1_quantile_grid`` (exact
+    up to roundoff on the merged cumulative-weight grid) rel 1e-12; against
+    scipy rel 1e-10, because scipy's own cumulative weight sums leave up to
+    2.5e-12 relative here.  Both are far below the 1e-3 relative error that
+    uncentred prefix sums give on the offset case.
     """
 
     @staticmethod
@@ -218,14 +237,14 @@ class TestWassersteinUnequalSizes:
             self.check(a, b)
 
     def test_equal_laws_at_sizes_n_and_kn(self):
-        # the two measures differ only by the roundoff of their cumulative
-        # weights, which grows with n * k: at n = 27, k = 19 the exact
-        # merged-grid value is already ~1e-14 * max|x|, so the bound is
-        # pinned on n <= 20, k <= 19
+        # a sample and its k-fold repetition are one law, and both store the
+        # levels i/N exactly.  Up to the uniform path's size ratio every
+        # piece pairs an atom with itself, so the distance is exactly 0; the
+        # search path above it keeps its prefix sums' roundoff
         rng = np.random.default_rng(64)
         worst = 0.0
-        for n in (1, 2, 3, 7, 12, 20):
-            for k in (2, 3, 10, 19):
+        for n in (1, 2, 3, 7, 12, 20, 27, 100, 1000):
+            for k in (2, 3, 10, _UNIFORM_RATIO, 19, 40):
                 for offset, scale in ((0.0, 1.0), (0.0, 1e3), (1e6, 1e-3), (-5.0, 1e-2)):
                     x = offset + scale * rng.standard_normal(n)
                     a = EmpiricalMeasure.from_samples(x)
@@ -233,11 +252,16 @@ class TestWassersteinUnequalSizes:
                     got = wasserstein1(a, b)
                     assert got == wasserstein1(b, a)
                     assert got >= 0.0
-                    worst = max(worst, got / np.abs(x).max())
+                    if k <= _UNIFORM_RATIO:
+                        assert got == 0.0, (n, k, offset)
+                    else:
+                        worst = max(worst, got / np.abs(x).max())
         assert worst <= 1e-14
 
     def test_prefix_sums_are_cached_and_frozen(self):
-        large = EmpiricalMeasure.from_samples(np.arange(10.0))
+        # size ratios 50 and 33 are above the uniform path's, so the search
+        # path runs and builds the larger measure's prefix sums once
+        large = EmpiricalMeasure.from_samples(np.arange(100.0))
         small = uniform_measure(2.0, 7.0)
         wasserstein1(small, large)
         cached = large._prefix
@@ -246,6 +270,81 @@ class TestWassersteinUnequalSizes:
         assert large._prefix is cached
         with pytest.raises(ValueError):
             cached[2][0] = 1.0
+
+    def test_uniform_path_builds_no_prefix_sums(self):
+        rng = np.random.default_rng(65)
+        for n, m in ((1, 1), (1_000, 1_000), (1_000, 1_500), (100, 100 * _UNIFORM_RATIO)):
+            a = EmpiricalMeasure.from_samples(rng.standard_normal(n))
+            b = EmpiricalMeasure.from_samples(rng.standard_normal(m))
+            wasserstein1(a, b)
+            wasserstein1(b, a)
+            assert a._prefix is None and b._prefix is None, (n, m)
+
+    def test_uniform_path_memory_is_a_few_chunks(self):
+        # 1.5M against 1e6 atoms: every temporary is one chunk of 2**16
+        # long, so the peak stays near 7 such float64 arrays (3.5 MiB), where
+        # whole prefix sums and searches took ~84 MiB
+        rng = np.random.default_rng(66)
+        a = EmpiricalMeasure.from_samples(rng.standard_normal(1_500_000))
+        b = EmpiricalMeasure.from_samples(rng.standard_normal(1_000_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            wasserstein1(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * 2**16 + 64 * 1024, peak / (8 * 2**16)
+
+
+class TestWassersteinAgainstRationals:
+    """Uniform pairs against the exact W1 of the ideal laws (weights 1/n).
+
+    The pairs cover equal sizes and size ratios on both sides of the uniform
+    path's limit, so both the integer-piece path and the search path run;
+    which one ran shows in whether the larger measure built prefix sums.
+    Each must match the rational value within a few eps * max|x|.
+    """
+
+    SIZES = [(1, 1), (7, 7), (64, 64), (3, 5), (13, 40), (10, 10 * _UNIFORM_RATIO),
+             (10, 10 * _UNIFORM_RATIO + 7), (2, 97), (1, 300), (25, 1_000)]
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "offset"])
+    def test_both_paths_match_exact_rational(self, kind):
+        rng = np.random.default_rng(["random", "tied", "offset"].index(kind) + 70)
+
+        def draw(size):
+            if kind == "random":
+                return 2.0 * rng.standard_normal(size)
+            if kind == "tied":
+                return rng.choice([-1.0, 0.0, 0.5, 2.0, 3.5], size=size)
+            return 1e6 + 1e-3 * rng.standard_normal(size)
+
+        eps = np.finfo(np.float64).eps
+        for n, m in self.SIZES:
+            x, y = draw(n), draw(m)
+            exact = w1_uniform_exact(x, y)
+            scale = max(np.abs(x).max(), np.abs(y).max())
+            for first, second in ((x, y), (y, x)):
+                a = EmpiricalMeasure.from_samples(first)
+                b = EmpiricalMeasure.from_samples(second)
+                got = wasserstein1(a, b)
+                assert abs(Fraction(got) - exact) <= 4 * eps * scale, (n, m, got, float(exact))
+                large = b if b.size >= a.size else a
+                assert (large._prefix is None) == (m <= _UNIFORM_RATIO * n), (n, m)
+
+    def test_prefix_sums_do_not_grow_with_the_size(self):
+        # the prefix integral is accumulated in extended precision and
+        # rounded once: a sequential float64 cumsum was 1.1e-11 relative off
+        # here, against 2.6e-16 now
+        rng = np.random.default_rng(73)
+        y = 0.3 + rng.standard_normal(100_000)
+        large = EmpiricalMeasure.from_samples(y)
+        for c in (-2.0, 0.0, 0.7, 3.0):
+            got = wasserstein1(EmpiricalMeasure.point_mass(c), large)
+            exact = w1_uniform_exact([c], y)
+            assert abs(Fraction(got) - exact) <= 4 * np.finfo(np.float64).eps * exact, c
 
 
 class TestKolmogorov:
@@ -432,11 +531,13 @@ class TestMomentSummary:
             ref = moments_float_powers(m.atoms, m.weights)
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
             # scipy centres at its own mean; at a 1e6 offset one ulp of the
-            # mean (1.2e-10) moves the skewness by ~2e-7, so both centre at
-            # the summary's mean and only the moment arithmetic is compared
-            m2 = stats.moment(expanded, 2, center=summary.mean)
-            skewness = stats.moment(expanded, 3, center=summary.mean) / m2**1.5
-            kurtosis = stats.moment(expanded, 4, center=summary.mean) / m2**2
+            # mean (1.2e-10) moves the skewness by ~2e-7, so scipy takes the
+            # deviations from the summary's mean about their own mean, as the
+            # summary centres twice, and only the moment arithmetic is compared
+            dev = expanded - summary.mean
+            m2 = stats.moment(dev, 2)
+            skewness = stats.moment(dev, 3) / m2**1.5
+            kurtosis = stats.moment(dev, 4) / m2**2
             assert summary.skewness == pytest.approx(skewness, rel=1e-12), name
             assert summary.kurtosis == pytest.approx(kurtosis, rel=1e-12), name
             if name != "offset":
@@ -444,6 +545,21 @@ class TestMomentSummary:
                 assert summary.kurtosis == pytest.approx(
                     stats.kurtosis(expanded, fisher=False), rel=1e-12
                 )
+
+    def test_offset_moments_match_rationals(self):
+        # at a 1e6 offset one centring at a mean an ulp off moved the
+        # skewness by 1.7e-7; the second centring leaves the mean correctly
+        # rounded and the standardized moments near eps
+        rng = np.random.default_rng(52)
+        x = 1e6 + 1e-3 * rng.gamma(2.0, size=2_000)
+        summary = moment_summary(EmpiricalMeasure.from_samples(x))
+        exact = [Fraction(float(v)) for v in x]
+        mean = sum(exact) / len(exact)
+        dev = [v - mean for v in exact]
+        m2, m3, m4 = (sum(d**p for d in dev) / len(dev) for p in (2, 3, 4))
+        assert summary.mean == float(mean)
+        assert summary.skewness == pytest.approx(float(m3) / float(m2) ** 1.5, rel=1e-13)
+        assert summary.kurtosis == pytest.approx(float(m4 / m2**2), rel=1e-13)
 
     def test_insufficient_atoms(self):
         with pytest.raises(InsufficientSampleError):
