@@ -31,7 +31,7 @@ from .bench import (
     write_traces,
 )
 from .errors import ConfigError, MfdistError
-from .models import load_json_object, suite_from_config
+from .models import load_json_object, not_utf8_message, suite_from_config
 from .policy import efficiency_ratio, optimal_exploration, oracle_optimum, pilot_statistics
 
 
@@ -92,16 +92,26 @@ def _cmd_fixed_m(args: argparse.Namespace) -> int:
 
 def _cmd_fit_curve(args: argparse.Namespace) -> int:
     suite = suite_from_config(load_json_object(args.suite))
+    path = getattr(args, "in")
     by_m: dict[int, list[float]] = {}
     budgets = set()
-    with open(getattr(args, "in"), newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            if not rec["method"].startswith("fixed-m:") or rec["error"]:
-                continue
-            by_m.setdefault(int(rec["method"].split(":")[1]), []).append(
-                float(rec["w1_error"])
-            )
-            budgets.add(float(rec["budget"]))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row reads as empty fields
+        try:
+            missing = {"method", "budget", "w1_error", "error"} - set(reader.fieldnames or ())
+            if missing:
+                raise MfdistError(f"{path}: line 1: missing columns {sorted(missing)}")
+            for rec in reader:
+                if not rec["method"].startswith("fixed-m:") or rec["error"]:
+                    continue
+                by_m.setdefault(int(rec["method"].split(":")[1]), []).append(
+                    float(rec["w1_error"])
+                )
+                budgets.add(float(rec["budget"]))
+        except UnicodeDecodeError:
+            raise MfdistError(not_utf8_message(path)) from None
+        except ValueError as exc:
+            raise MfdistError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(budgets) != 1:
         raise MfdistError(
             f"curve fitting needs fixed-m rows at exactly one budget, found {sorted(budgets)}"

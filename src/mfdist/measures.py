@@ -49,7 +49,7 @@ class EmpiricalMeasure:
 
     atoms: np.ndarray
     weights: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False)
+    _levels: np.ndarray = field(init=False, repr=False)
     _uniform: bool = field(init=False, repr=False)
     _prefix: tuple | None = field(init=False, repr=False, default=None)
 
@@ -73,19 +73,18 @@ class EmpiricalMeasure:
         total = float(weights.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
+        # levels[i] = F(atoms[i - 1]), with levels[0] = 0 and levels[-1] = 1
         uniform = bool(weights.min() == weights.max())
         if uniform:
-            cum = np.arange(1.0, atoms.size + 1.0)
-            cum /= atoms.size
+            levels = np.arange(atoms.size + 1.0)
+            levels /= atoms.size
         else:
-            cum = np.cumsum(weights)
-            cum[-1] = 1.0  # guard the top quantile against accumulated roundoff
-        atoms.flags.writeable = False
-        weights.flags.writeable = False
-        cum.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_cum", cum)
+            levels = np.zeros(atoms.size + 1)
+            np.cumsum(weights, out=levels[1:])
+            levels[-1] = 1.0  # guard the top quantile against accumulated roundoff
+        for name, array in (("atoms", atoms), ("weights", weights), ("_levels", levels)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "_uniform", uniform)
 
     @classmethod
@@ -104,10 +103,10 @@ class EmpiricalMeasure:
     def size(self) -> int:
         return int(self.atoms.size)
 
-    def _prefix_sums(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(shift, [0, _cum], [0, cumsum(weights * (atoms - shift))]).
+    def _prefix_sums(self) -> tuple[float, np.ndarray]:
+        """(shift, [0, cumsum(weights * (atoms - shift))]), indexed like ``_levels``.
 
-        Built on first use and frozen like ``_cum``.  ``shift`` is the mean,
+        Built on first use and frozen like ``_levels``.  ``shift`` is the mean,
         so the second prefix sum stays of the order of the spread instead of
         cancelling at the order of the atoms; it is accumulated in extended
         precision and rounded once, so its error does not grow with the size.
@@ -116,7 +115,6 @@ class EmpiricalMeasure:
         """
         if self._prefix is None:
             shift = float(self.weights @ self.atoms)
-            levels = np.concatenate(([0.0], self._cum))
             integral = np.zeros(self.size + 1)
             np.subtract(self.atoms, shift, out=integral[1:])
             integral[1:] *= self.weights
@@ -126,9 +124,8 @@ class EmpiricalMeasure:
                 part += carry
                 carry = part[-1]
                 integral[start:start + _CHUNK] = part
-            levels.flags.writeable = False
             integral.flags.writeable = False
-            object.__setattr__(self, "_prefix", (shift, levels, integral))
+            object.__setattr__(self, "_prefix", (shift, integral))
         return self._prefix
 
 
@@ -149,8 +146,7 @@ class MomentSummary:
 
 def cdf_at(m: EmpiricalMeasure, x: float) -> float:
     """Right-continuous CDF value: total weight of atoms <= x."""
-    idx = int(np.searchsorted(m.atoms, x, side="right"))
-    return 0.0 if idx == 0 else float(m._cum[idx - 1])
+    return float(_cdf_on_grid(m, x))
 
 
 def quantile(m: EmpiricalMeasure, t: float) -> float:
@@ -163,9 +159,7 @@ def quantile(m: EmpiricalMeasure, t: float) -> float:
 
 def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray) -> np.ndarray:
     """Right-continuous CDF values F(x) at every point x of ``grid``."""
-    idx = np.searchsorted(m.atoms, grid, side="right")
-    padded = np.concatenate(([0.0], m._cum))
-    return padded[idx]
+    return m._levels[np.searchsorted(m.atoms, grid, side="right")]
 
 
 def _w1_uniform(small: EmpiricalMeasure, large: EmpiricalMeasure) -> float:
@@ -217,7 +211,8 @@ def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
         fa = _cdf_on_grid(a, merged[:-1])
         fb = _cdf_on_grid(b, merged[:-1])
         return float(np.abs(fa - fb) @ gaps)
-    shift, levels, integral = large._prefix_sums()
+    shift, integral = large._prefix_sums()
+    levels = large._levels
 
     def integral_to(u: np.ndarray) -> np.ndarray:
         # integral of Q_large - shift over (0, u]; piecewise linear in u
@@ -225,10 +220,9 @@ def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
         return integral[k] + (u - levels[k]) * (large.atoms[k] - shift)
 
     x = small.atoms - shift
-    edges = np.concatenate(([0.0], small._cum))
-    lo, hi = edges[:-1], edges[1:]
-    cross = np.clip(levels[np.searchsorted(large.atoms, small.atoms, side="right")], lo, hi)
-    at_edges, at_cross = integral_to(edges), integral_to(cross)
+    lo, hi = small._levels[:-1], small._levels[1:]
+    cross = np.clip(_cdf_on_grid(large, small.atoms), lo, hi)
+    at_edges, at_cross = integral_to(small._levels), integral_to(cross)
     below = x * (cross - lo) - (at_cross - at_edges[:-1])
     above = (at_edges[1:] - at_cross) - x * (hi - cross)
     # each piece is non-negative exactly; clamp the roundoff of the differences
@@ -254,10 +248,8 @@ def j_functionals(m: EmpiricalMeasure) -> tuple[float, float]:
     1/sqrt(N)).  Exact for the piecewise-constant CDF; both are 0 for a
     point mass.
     """
-    if m.size == 1:
-        return 0.0, 0.0
     gaps = np.diff(m.atoms)
-    f = m._cum[:-1]
+    f = m._levels[1:-1]
     v = f * (1.0 - f)
     # roundoff can leave v at -1e-17 on the last plateau
     v = np.maximum(v, 0.0)
@@ -313,6 +305,6 @@ def sample_inverse_transform(m: EmpiricalMeasure, u):
     u_arr = np.asarray(u, dtype=np.float64)
     if not np.all((u_arr > 0.0) & (u_arr <= 1.0)):
         raise ValueError(f"quantile levels must lie in (0, 1], got {u!r}")
-    idx = np.minimum(np.searchsorted(m._cum, u_arr, side="left"), m.size - 1)
-    out = m.atoms[idx]
+    # levels[0] = 0 < u <= 1 = levels[-1], so the index lands in [0, N - 1]
+    out = m.atoms[np.searchsorted(m._levels, u_arr, side="left") - 1]
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out

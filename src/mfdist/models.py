@@ -376,6 +376,8 @@ class SampleTable:
                 header = next(csv.reader(fh), None)
             except csv.Error as exc:
                 raise TableParseError(f"{path}: line 1: {exc}") from None
+            except UnicodeDecodeError:
+                raise TableParseError(not_utf8_message(path)) from None
             if header != expected_header:
                 raise TableParseError(
                     f"{path}: line 1: expected header {','.join(expected_header)!r}, "
@@ -396,6 +398,9 @@ class SampleTable:
                     values = [float(v) for v in row]
                     y_rows.append(values[0])
                     x_rows.append(values[1:])
+            # the decoder reads ahead of line_num, so it gets its own error
+            except UnicodeDecodeError:
+                raise TableParseError(not_utf8_message(path)) from None
             # csv.Error: e.g. a field over csv's size limit; line_num is the
             # physical line the record ends on, past any quoted newline
             except (ValueError, csv.Error) as exc:
@@ -473,6 +478,20 @@ def _count_lines(path: Path) -> int | None:
     if last not in (b"\n", b"\r"):
         lines += 1
     return lines
+
+
+def not_utf8_message(path: str | Path) -> str:
+    """Why the file at ``path`` does not decode as UTF-8: its first bad byte
+    and that byte's line, split as csv splits lines (at \\n, \\r\\n and \\r).
+    Read only after a decode error, so a valid file pays nothing."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8"
+    return f"{path}: not UTF-8"  # the file changed since it was read
 
 
 def _loadtxt_rows(fh, path: Path, width: int) -> np.ndarray | None:

@@ -36,7 +36,7 @@ def w1_quantile_grid(measure_a, measure_b) -> float:
     """
     from mfdist.measures import quantile
 
-    grid = np.concatenate(([0.0], np.union1d(measure_a._cum, measure_b._cum)))
+    grid = np.union1d(measure_a._levels, measure_b._levels)
     total = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
         if hi <= lo:
@@ -76,7 +76,7 @@ def kolmogorov_bruteforce(measure_a, measure_b) -> float:
     gaps = []
     for side in ("right", "left"):
         values = [
-            np.concatenate(([0.0], m._cum))[np.searchsorted(m.atoms, grid, side=side)]
+            m._levels[np.searchsorted(m.atoms, grid, side=side)]
             for m in (measure_a, measure_b)
         ]
         gaps.append(np.abs(values[0] - values[1]).max())

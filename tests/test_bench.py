@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfdist.bench import (
+    RESULT_COLUMNS,
     ExperimentConfig,
     build_oracle_measure,
     fit_tradeoff_curve,
@@ -480,6 +481,48 @@ class TestOutputsAndCli:
         # library callers keep the Python exception
         with pytest.raises(FileNotFoundError):
             ExperimentConfig.from_json(missing)
+
+    @pytest.mark.parametrize(
+        "bad_line, rows", [(3, 2), (3001, 5000)], ids=["first-chunk", "deep"]
+    )
+    def test_non_utf8_table_rejected(self, tmp_path, capsys, monkeypatch, bad_line, rows):
+        # the decoder reads ahead of the line loop, so the error must name
+        # the line of the bad byte, not the last line the loop finished
+        lines = [b"y,x1"] + [b"1.0,2.0"] * rows
+        lines[bad_line - 1] = b"3.0,\xff"
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\n".join(lines) + b"\n")
+        costs_path = tmp_path / "costs.json"
+        costs_path.write_text(json.dumps({"cost_y": 1.0, "costs": [0.05]}))
+        config = {
+            "suite": {"name": "table", "path": str(table), "costs_path": str(costs_path)},
+            "methods": ["ecdf-y"],
+            "budgets": [60.0],
+        }
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err == f"error: {table}: line {bad_line}: byte 0xff is not UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ((b",w1_error,", b",w1,"), "line 1: missing columns ['w1_error']"),
+            ((b",0.25,", b",small,"), "line 3: could not convert string to float: 'small'"),
+            ((b"fixed-m:20", b"fixed-m:\xff"), "line 3: byte 0xff is not UTF-8"),
+        ],
+        ids=["missing-column", "non-numeric", "not-utf8"],
+    )
+    def test_malformed_fit_curve_input_rejected(self, tmp_path, capsys, edit, message):
+        text = (
+            ",".join(RESULT_COLUMNS).encode() + b"\n"
+            b"fixed-m:10,200,0,1,0.5,1,10,200,0,1,0,3,\n"
+            b"fixed-m:20,200,0,2,0.25,1,20,200,0,1,0,3,\n"
+        )
+        results = tmp_path / "results.csv"
+        results.write_bytes(text.replace(*edit))
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"name": "ishigami-perfect"}))
+        assert cli_main(["fit-curve", "--in", str(results), "--suite", str(suite_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {results}: {message}")
 
     def test_non_string_method_rejected(self, tmp_path, capsys, monkeypatch):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": [1], "budgets": [300.0]}

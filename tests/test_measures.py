@@ -53,11 +53,28 @@ class TestConstruction:
         for n in (3, 10, 27, 1_000, 100_003):
             m = EmpiricalMeasure.from_samples(np.zeros(n))
             assert m._uniform
-            assert np.array_equal(m._cum, np.arange(1, n + 1) / n), n
+            assert np.array_equal(m._levels, np.arange(n + 1) / n), n
             repeated = EmpiricalMeasure.from_samples(np.zeros(19 * n))
-            assert np.array_equal(repeated._cum[18::19], m._cum), n
+            assert np.array_equal(repeated._levels[::19], m._levels), n
         weighted = EmpiricalMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
         assert not weighted._uniform
+
+    def test_levels_run_from_exactly_zero_to_exactly_one(self):
+        # a cumsum of these weights ends one ulp off 1; the stored levels
+        # still start at 0 and end at 1, so every u in (0, 1] finds an atom
+        weights = np.full(10, 0.1)
+        weights[0] += 2**-56
+        weights[1] -= 2**-56
+        assert np.cumsum(weights)[-1] != 1.0
+        atoms = np.arange(10.0)
+        for m in (EmpiricalMeasure(atoms, weights), EmpiricalMeasure.from_samples(atoms),
+                  EmpiricalMeasure.from_samples(np.arange(100_003.0))):
+            assert m._levels.size == m.size + 1
+            assert m._levels[0] == 0.0 and m._levels[-1] == 1.0
+            assert np.all(np.diff(m._levels) > 0)
+            assert sample_inverse_transform(m, 1.0) == m.atoms[-1]
+            assert sample_inverse_transform(m, 5e-324) == m.atoms[0]
+            assert np.array_equal(sample_inverse_transform(m, m._levels[1:]), m.atoms)
 
     def test_duplicates_are_retained(self):
         m = EmpiricalMeasure.from_samples([1.0, 1.0, 1.0])
@@ -268,8 +285,28 @@ class TestWassersteinUnequalSizes:
         assert cached is not None and small._prefix is None
         wasserstein1(large, uniform_measure(1.0, 3.0, 9.0))
         assert large._prefix is cached
+        shift, integral = cached
+        assert integral.size == large.size + 1 and integral[0] == 0.0
         with pytest.raises(ValueError):
-            cached[2][0] = 1.0
+            integral[0] = 1.0
+        with pytest.raises(ValueError):
+            large._levels[0] = 1.0
+
+    def test_prefix_holds_only_the_integral(self):
+        # the cached prefix of a 1e6-atom measure is its centred integral,
+        # 1e6 + 1 float64 (7.6 MiB); a second copy of the levels made 15.3
+        rng = np.random.default_rng(67)
+        large = EmpiricalMeasure.from_samples(rng.standard_normal(1_000_000))
+        small = EmpiricalMeasure.from_samples(rng.standard_normal(200))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            wasserstein1(small, large)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert large._prefix is not None
+        assert held <= 8.5 * 2**20, held / 2**20
 
     def test_uniform_path_builds_no_prefix_sums(self):
         rng = np.random.default_rng(65)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import mfdist
 
 PUBLIC_NAMES = [
@@ -17,3 +20,13 @@ def test_public_names_are_pinned_and_resolve():
     assert mfdist.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert callable(getattr(mfdist, name)), name
+
+
+def test_only_measures_knows_the_level_format():
+    # the stored levels, prefix sums and uniform flag are private to one module
+    private = re.compile(r"\b_(?:levels|prefix|uniform)\w*")
+    package = Path(mfdist.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        if module.name != "measures.py":
+            found = private.findall(module.read_text(encoding="utf-8"))
+            assert not found, f"{module.name} names {sorted(set(found))}"
