@@ -14,7 +14,7 @@ import io
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .measures import (
     sample_inverse_transform,
     wasserstein1,
 )
-from .models import ModelSuite, load_json_object, suite_from_config
+from .models import ModelSuite, json_array, load_json_object, suite_from_config
 from .policy import COMMITTED, PolicyState, exploit, run_aetc_d
 
 __all__ = [
@@ -49,23 +49,9 @@ __all__ = [
     "write_summary_csv",
 ]
 
-_METHOD_NAMES = ("ecdf-y", "aetc-d", "aetc-d-no", "aetc-d-q", "oracle")
-
-RESULT_COLUMNS = [
-    "method",
-    "budget",
-    "replicate",
-    "seed",
-    "w1_error",
-    "subset",
-    "m_explore",
-    "spend",
-    "est_mean",
-    "est_variance",
-    "est_skewness",
-    "est_kurtosis",
-    "error",
-]
+# every method but ``fixed-m:<m>``, with the run_aetc_d variant it runs
+_NAMED_METHODS = {"ecdf-y": None, "oracle": None, "aetc-d": "standard",
+                  "aetc-d-no": "no-noise", "aetc-d-q": "quantile"}
 
 SUMMARY_COLUMNS = ["method", "budget", "mean", "q05", "q50", "q95", "failures"]
 
@@ -83,16 +69,30 @@ def _integer(value) -> int:
     return int(value)
 
 
+def fixed_rate(method: str) -> int | None:
+    """The exploration rate m of a ``fixed-m:<m>`` method, None for a named
+    method; ConfigError for any other string."""
+    if method in _NAMED_METHODS:
+        return None
+    kind, _, rate = method.partition(":")
+    if kind != "fixed-m":
+        raise ConfigError(f"unknown method {method!r}")
+    try:
+        return int(rate)
+    except ValueError:
+        raise ConfigError(f"fixed-m methods look like 'fixed-m:<m>', got {method!r}") from None
+
+
 # JSON value -> ExperimentConfig field, for every key but "suite"
 _CONFIG_FIELDS = {
-    "methods": tuple,
-    "budgets": lambda v: tuple(float(b) for b in v),
+    "methods": lambda v: tuple(json_array(v)),
+    "budgets": lambda v: tuple(float(b) for b in json_array(v)),
     "replicates": _integer,
     "eval_samples": _integer,
     "oracle_samples": _integer,
     "seed": _integer,
     "eval": str,
-    "fixed_subset": lambda v: tuple(_integer(i) for i in v),
+    "fixed_subset": lambda v: tuple(_integer(i) for i in json_array(v)),
 }
 
 
@@ -120,23 +120,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ConfigError("at least one method is required")
-        for method in self.methods:
+        for i, method in enumerate(self.methods):
             if not isinstance(method, str):
                 raise ConfigError(f"methods must be strings, got {method!r}")
-            base = method.split(":", 1)[0]
-            if base == "fixed-m":
-                try:
-                    m = int(method.split(":", 1)[1])
-                except (IndexError, ValueError):
-                    raise ConfigError(
-                        f"fixed-m methods look like 'fixed-m:<m>', got {method!r}"
-                    ) from None
-                if m < 1:
-                    raise ConfigError(f"fixed-m rate must be positive, got {m}")
-                if self.fixed_subset is None:
-                    raise ConfigError("fixed-m methods require 'fixed_subset'")
-            elif method not in _METHOD_NAMES:
-                raise ConfigError(f"unknown method {method!r}")
+            if method in self.methods[:i]:
+                raise ConfigError(f"methods must be distinct, got {method!r} twice")
+            m = fixed_rate(method)
+            if m is None:
+                continue
+            if self.fixed_subset is None:
+                raise ConfigError("fixed-m methods require 'fixed_subset'")
+            least = len(self.fixed_subset) + 2  # run_fixed_m's, checked before any cell runs
+            if m < least:
+                raise ConfigError(f"fixed exploration rate {m} is below the minimum {least}")
         if not self.budgets or not all(0.0 < b < np.inf for b in self.budgets):
             raise ConfigError(f"budgets must be positive and finite, got {list(self.budgets)}")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
@@ -210,28 +206,8 @@ class ResultRow:
     def run_id(self) -> str:
         return f"{self.method.replace(':', '-')}_B{self.budget:g}_r{self.replicate}"
 
-    def to_csv_fields(self) -> list[str]:
-        subset = "" if self.subset is None else "+".join(str(i) for i in self.subset)
-        m = "" if self.m_explore is None else str(self.m_explore)
-        return [
-            self.method,
-            f"{self.budget:g}",
-            str(self.replicate),
-            str(self.seed),
-            _fmt(self.w1_error),
-            subset,
-            m,
-            _fmt(self.spend),
-            _fmt(self.est_mean),
-            _fmt(self.est_variance),
-            _fmt(self.est_skewness),
-            _fmt(self.est_kurtosis),
-            self.error,
-        ]
 
-
-def _fmt(value: float) -> str:
-    return "" if not np.isfinite(value) else repr(float(value))
+RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.repr]
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +251,6 @@ def run_fixed_m(
     return estimate, state
 
 
-_AETC_VARIANTS = {"aetc-d": "standard", "aetc-d-no": "no-noise", "aetc-d-q": "quantile"}
-
-
 def _run_method(
     method: str,
     suite: ModelSuite,
@@ -286,19 +259,15 @@ def _run_method(
     fixed_subset: tuple[int, ...] | None,
     oracle: EmpiricalMeasure,
 ) -> tuple[EmpiricalMeasure, PolicyState | None]:
+    m = fixed_rate(method)
+    if m is not None:
+        assert fixed_subset is not None
+        return run_fixed_m(suite, budget, m, fixed_subset, rng)
     if method == "ecdf-y":
         return run_ecdf_y(suite, budget, rng), None
     if method == "oracle":
         return oracle, None
-    if method in _AETC_VARIANTS:
-        estimate, state = run_aetc_d(suite, budget, rng, variant=_AETC_VARIANTS[method])
-        return estimate, state
-    if method.startswith("fixed-m:"):
-        assert fixed_subset is not None
-        m = int(method.split(":", 1)[1])
-        estimate, state = run_fixed_m(suite, budget, m, fixed_subset, rng)
-        return estimate, state
-    raise ConfigError(f"unknown method {method!r}")
+    return run_aetc_d(suite, budget, rng, variant=_NAMED_METHODS[method])
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +336,18 @@ def _run_cell(
         row.error = f"{type(exc).__name__}: {exc}"
         return row
     row.w1_error = _evaluate(config, estimate, oracle, eval_rng)
-    row.spend = 0.0 if state is None else state.spent
     if keep_atoms:
         row.atoms = estimate.atoms
     if state is not None:
+        row.spend = state.spent
         row.subset = state.chosen
         row.m_explore = state.t
         row.trace = state.trace
-    if method == "ecdf-y":
-        row.spend = np.floor(budget / suite.cost_y) * suite.cost_y
+    else:  # ecdf-y spends one cost_y per atom; the oracle spends nothing
+        row.spend = estimate.size * suite.cost_y if method == "ecdf-y" else 0.0
     try:
-        moments = moment_summary(estimate)
-        row.est_mean = moments.mean
-        row.est_variance = moments.variance
-        row.est_skewness = moments.skewness
-        row.est_kurtosis = moments.kurtosis
+        for stat, value in vars(moment_summary(estimate)).items():
+            setattr(row, f"est_{stat}", value)
     except InsufficientSampleError:
         pass  # tiny estimates keep NaN moments; the W1 error is still valid
     return row
@@ -515,13 +481,7 @@ def run_statistics_comparison(
     oracle = build_oracle_measure(config, suite)
     if rows is None:
         rows, _ = _run_cells(config, suite, oracle, threads, keep_atoms=False)
-    target = moment_summary(oracle)
-    targets = {
-        "mean": target.mean,
-        "variance": target.variance,
-        "skewness": target.skewness,
-        "kurtosis": target.kurtosis,
-    }
+    targets = vars(moment_summary(oracle))
     out = []
     for method in config.methods:
         for budget in config.budgets:
@@ -542,6 +502,30 @@ def run_statistics_comparison(
 # ---------------------------------------------------------------------------
 
 
+def _csv_field(column: str, value) -> str:
+    """One results.csv or summary.csv cell: the budget as %g, a non-finite
+    float or None as empty, any other float as its repr, a subset joined
+    by "+"."""
+    if column == "budget":
+        return f"{value:g}"
+    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return "+".join(str(i) for i in value)
+    return str(value)
+
+
+def _csv_text(columns: list[str], records: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow([_csv_field(c, rec[c]) for c in columns])
+    return buf.getvalue()
+
+
 def write_results_csv(rows: list[ResultRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(results_csv_text(rows))
@@ -549,20 +533,7 @@ def write_results_csv(rows: list[ResultRow], path: str | Path) -> None:
 
 def write_summary_csv(summary: list[dict], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for rec in summary:
-            writer.writerow(
-                [
-                    rec["method"],
-                    f"{rec['budget']:g}",
-                    _fmt(rec["mean"]),
-                    _fmt(rec["q05"]),
-                    _fmt(rec["q50"]),
-                    _fmt(rec["q95"]),
-                    str(rec["failures"]),
-                ]
-            )
+        fh.write(_csv_text(SUMMARY_COLUMNS, summary))
 
 
 def write_traces(rows: list[ResultRow], trace_dir: str | Path) -> None:
@@ -584,9 +555,4 @@ def write_samples(rows: list[ResultRow], samples_dir: str | Path) -> None:
 
 
 def results_csv_text(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RESULT_COLUMNS)
-    for row in rows:
-        writer.writerow(row.to_csv_fields())
-    return buf.getvalue()
+    return _csv_text(RESULT_COLUMNS, [vars(row) for row in rows])

@@ -23,6 +23,7 @@ import numpy as np
 from .bench import (
     ExperimentConfig,
     fit_tradeoff_curve,
+    fixed_rate,
     run_experiment,
     run_statistics_comparison,
     write_results_csv,
@@ -102,15 +103,14 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
             if missing:
                 raise MfdistError(f"{path}: line 1: missing columns {sorted(missing)}")
             for rec in reader:
-                if not rec["method"].startswith("fixed-m:") or rec["error"]:
+                m = fixed_rate(rec["method"])
+                if m is None or rec["error"]:
                     continue
-                by_m.setdefault(int(rec["method"].split(":")[1]), []).append(
-                    float(rec["w1_error"])
-                )
+                by_m.setdefault(m, []).append(float(rec["w1_error"]))
                 budgets.add(float(rec["budget"]))
         except UnicodeDecodeError:
             raise MfdistError(not_utf8_message(path)) from None
-        except ValueError as exc:
+        except ValueError as exc:  # fixed_rate's ConfigError included
             raise MfdistError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(budgets) != 1:
         raise MfdistError(
@@ -172,13 +172,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "stats_mse.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "budget", "mse_mean", "mse_variance", "mse_skewness", "mse_kurtosis"])
+        writer.writerow(table[0])  # the keys: method, budget, then one mse_<stat> each
         for rec in table:
-            writer.writerow([
-                rec["method"], f"{rec['budget']:g}",
-                repr(rec["mse_mean"]), repr(rec["mse_variance"]),
-                repr(rec["mse_skewness"]), repr(rec["mse_kurtosis"]),
-            ])
+            method, budget, *mses = rec.values()
+            writer.writerow([method, f"{budget:g}", *map(repr, mses)])
     print(json.dumps(table, indent=2, default=float))
     return 0
 

@@ -81,7 +81,8 @@ class EmpiricalMeasure:
         else:
             levels = np.zeros(atoms.size + 1)
             np.cumsum(weights, out=levels[1:])
-            levels[-1] = 1.0  # guard the top quantile against accumulated roundoff
+            np.minimum(levels, 1.0, out=levels)  # weights may sum to 1 + 1e-12
+            levels[-1] = 1.0
         for name, array in (("atoms", atoms), ("weights", weights), ("_levels", levels)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -250,9 +251,7 @@ def j_functionals(m: EmpiricalMeasure) -> tuple[float, float]:
     """
     gaps = np.diff(m.atoms)
     f = m._levels[1:-1]
-    v = f * (1.0 - f)
-    # roundoff can leave v at -1e-17 on the last plateau
-    v = np.maximum(v, 0.0)
+    v = f * (1.0 - f)  # >= 0 exactly, as every level lies in [0, 1]
     j0 = float(v @ gaps)
     j1 = float(np.sqrt(v) @ gaps)
     return j0, j1

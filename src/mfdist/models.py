@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -366,31 +367,33 @@ class SampleTable:
         numpy's C reader parses the rows.  A file it refuses, or might read
         otherwise, goes through the line loop, which parses every spelling
         ``float()`` takes and names the line of the first malformed row.
+        A byte that is not UTF-8 is decoded as a lone surrogate, which no
+        row parses, so the first malformed row is found even when it lies
+        before the first such byte.
         """
         path = Path(path)
         cost_y, costs = _read_costs(costs_path)
         n = len(costs)
         expected_header = ["y"] + [f"x{i}" for i in range(1, n + 1)]
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             try:
                 header = next(csv.reader(fh), None)
             except csv.Error as exc:
                 raise TableParseError(f"{path}: line 1: {exc}") from None
-            except UnicodeDecodeError:
-                raise TableParseError(not_utf8_message(path)) from None
             if header != expected_header:
-                raise TableParseError(
-                    f"{path}: line 1: expected header {','.join(expected_header)!r}, "
-                    f"got {header!r}"
+                raise _row_error(
+                    path, 1, header or [],
+                    f"expected header {','.join(expected_header)!r}, got {header!r}",
                 )
             data = _loadtxt_rows(fh, path, n + 1)
         if data is not None:
             return cls(y=data[:, 0].copy(), x=data[:, 1:].copy(), cost_y=cost_y, costs=costs)
         y_rows: list[float] = []
         x_rows: list[list[float]] = []
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             reader = csv.reader(fh)
             next(reader)
+            row: list[str] = []
             try:
                 for row in reader:
                     if len(row) != n + 1:
@@ -398,13 +401,10 @@ class SampleTable:
                     values = [float(v) for v in row]
                     y_rows.append(values[0])
                     x_rows.append(values[1:])
-            # the decoder reads ahead of line_num, so it gets its own error
-            except UnicodeDecodeError:
-                raise TableParseError(not_utf8_message(path)) from None
             # csv.Error: e.g. a field over csv's size limit; line_num is the
             # physical line the record ends on, past any quoted newline
             except (ValueError, csv.Error) as exc:
-                raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise _row_error(path, reader.line_num, row, exc) from None
         if not y_rows:
             raise TableParseError(f"{path}: table has a header but no data rows")
         return cls(
@@ -436,6 +436,14 @@ def load_json_object(path: str | Path) -> dict:
     return value
 
 
+def json_array(value) -> list:
+    """``value`` if it is a JSON array; TypeError for anything else, such as
+    a string, whose characters would otherwise pass for its items."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return value
+
+
 def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
     """``cost_y`` and ``costs`` from a table's cost metadata file."""
     meta = load_json_object(costs_path)
@@ -445,7 +453,7 @@ def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
             f"got {sorted(meta)}"
         )
     try:
-        return float(meta["cost_y"]), tuple(float(v) for v in meta["costs"])
+        return float(meta["cost_y"]), tuple(float(v) for v in json_array(meta["costs"]))
     except (TypeError, ValueError):
         raise ConfigError(
             f"{costs_path}: cost_y must be a number and costs a list of numbers, "
@@ -494,6 +502,15 @@ def not_utf8_message(path: str | Path) -> str:
     return f"{path}: not UTF-8"  # the file changed since it was read
 
 
+def _row_error(path: Path, line: int, row: list[str], problem) -> TableParseError:
+    """The error for the table's first malformed row: its first byte that is
+    not UTF-8, if the row holds one (decoded by errors="surrogateescape" as
+    U+DC80..U+DCFF), else ``problem`` at ``line``."""
+    if re.search("[\udc80-\udcff]", ",".join(row)):
+        return TableParseError(not_utf8_message(path))
+    return TableParseError(f"{path}: line {line}: {problem}")
+
+
 def _loadtxt_rows(fh, path: Path, width: int) -> np.ndarray | None:
     """The rest of the open table ``fh``, just past its header, parsed by
     numpy's C reader: an array of one row per line, or None if the reader
@@ -536,17 +553,12 @@ def table_suite(table: SampleTable, name: str = "table") -> ModelSuite:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
+_ISHIGAMI_KEYS = {"name", "expansion", "a", "b", "c", "d", "cost_y", "costs"}
+# suite name -> the keys its config may hold
 _SUITE_KEYS = {
-    "name",
-    "a",
-    "b",
-    "c",
-    "d",
-    "cost_y",
-    "costs",
-    "expansion",
-    "path",
-    "costs_path",
+    "ishigami-perfect": _ISHIGAMI_KEYS,
+    "ishigami-approx": _ISHIGAMI_KEYS,
+    "table": {"name", "expansion", "path", "costs_path"},
 }
 
 
@@ -554,30 +566,26 @@ def suite_from_config(spec: dict) -> ModelSuite:
     """Build a suite from its JSON description (strict: unknown keys rejected)."""
     if not isinstance(spec, dict):
         raise ConfigError("suite config must be a JSON object")
-    unknown = set(spec) - _SUITE_KEYS
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in _SUITE_KEYS:
+        raise ConfigError(f"unknown suite name {name!r}; expected one of {sorted(_SUITE_KEYS)}")
+    unknown = set(spec) - _SUITE_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown suite config keys: {sorted(unknown)}")
-    name = spec.get("name")
-    if name in ("ishigami-perfect", "ishigami-approx"):
-        kwargs = {}
-        for key in ("a", "b", "c", "d", "cost_y"):
-            if key in spec:
-                kwargs[key] = float(spec[key])
-        if "costs" in spec:
-            kwargs["costs"] = tuple(float(v) for v in spec["costs"])
-        suite = ishigami_suite(variant=name.split("-")[1], **kwargs)
-    elif name == "table":
+    if name == "table":
         if "path" not in spec or "costs_path" not in spec:
             raise ConfigError("table suites need 'path' and 'costs_path'")
-        for key in ("a", "b", "c", "d", "cost_y", "costs"):
-            if key in spec:
-                raise ConfigError(f"{key!r} is not valid for table suites")
         suite = table_suite(SampleTable.from_csv(spec["path"], spec["costs_path"]))
     else:
-        raise ConfigError(
-            f"unknown suite name {name!r}; expected 'ishigami-perfect', "
-            "'ishigami-approx', or 'table'"
-        )
+        try:
+            kwargs = {k: float(v) for k, v in spec.items() if k not in ("name", "expansion", "costs")}
+            if "costs" in spec:
+                kwargs["costs"] = tuple(float(v) for v in json_array(spec["costs"]))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"suite config values must be numbers and 'costs' an array of them, got {spec!r}"
+            ) from None
+        suite = ishigami_suite(variant=name.split("-")[1], **kwargs)
     expansion = spec.get("expansion", "none")
     if expansion != "none":
         suite = expanded_suite(suite, expansion)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -341,7 +342,7 @@ class TestOutputsAndCli:
         assert set(rec) == {"t", "spend", "scores", "chosen"}
         assert list((out / "samples").glob("*.csv"))
 
-    def test_cli_fixed_m_and_fit_curve(self, tmp_path):
+    def test_cli_fixed_m_and_fit_curve(self, tmp_path, capsys):
         config = {
             "suite": {"name": "ishigami-perfect"},
             "methods": ["ecdf-y"],
@@ -361,11 +362,16 @@ class TestOutputsAndCli:
         assert rc == 0
         suite_path = tmp_path / "suite.json"
         suite_path.write_text(json.dumps({"name": "ishigami-perfect"}))
+        capsys.readouterr()
         rc = cli_main([
             "fit-curve", "--in", str(tmp_path / "fm" / "results.csv"),
             "--suite", str(suite_path),
         ])
         assert rc == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == (
+            "5392d1910e805fdb5f524b2bac5c14883fde81022c81a071ca66f7f184bdf38b"
+        )
 
     def test_cli_oracle(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"
@@ -411,6 +417,31 @@ class TestOutputsAndCli:
             ExperimentConfig.from_dict(config).build_suite()
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err.startswith("error: fixed_subset must list distinct model indices in 1..2")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"methods": ["aetc-d", "ecdf-y", "aetc-d"]},
+             "methods must be distinct, got 'aetc-d' twice"),
+            ({"methods": ["ecdf-y", "fixed-m:2"]}, "fixed exploration rate 2 is below the minimum 3"),
+            ({"suite": {"name": "ishigami-approx", "path": "t.csv"}},
+             "unknown suite config keys: ['path']"),
+            # a string where a JSON array belongs would iterate as its characters
+            ({"budgets": "19"}, "config key 'budgets' has an invalid value '19'"),
+            ({"fixed_subset": "12"}, "config key 'fixed_subset' has an invalid value '12'"),
+            ({"suite": {"name": "ishigami-perfect", "costs": "12"}},
+             "suite config values must be numbers and 'costs' an array of them"),
+        ],
+        ids=["duplicate-methods", "fixed-m-below-minimum", "ishigami-path",
+             "budgets-string", "fixed_subset-string", "suite-costs-string"],
+    )
+    def test_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, edit, message):
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
+                  "fixed_subset": [1], "budgets": [300.0], **edit}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict(config).build_suite()
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith(f"error: {message}")
 
     def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
         config = {
@@ -546,8 +577,10 @@ class TestOutputsAndCli:
     @pytest.mark.parametrize(
         "meta",
         ['{"costs": [0.05, 0.001]}', '{"cost_y": 1.0}', '[1.0, [0.05, 0.001]]',
-         '{"cost_y": 1.0,', '{"cost_y": 1.0, "costs": [0.05, "cheap"]}'],
-        ids=["no-cost_y", "no-costs", "not-an-object", "invalid-json", "non-numeric"],
+         '{"cost_y": 1.0,', '{"cost_y": 1.0, "costs": [0.05, "cheap"]}',
+         '{"cost_y": 1.0, "costs": "12"}'],
+        ids=["no-cost_y", "no-costs", "not-an-object", "invalid-json", "non-numeric",
+             "costs-string"],
     )
     def test_bad_cost_metadata_rejected(self, tmp_path, capsys, monkeypatch, meta):
         from mfdist.models import SampleTable
@@ -660,6 +693,18 @@ class TestGoldenOutputs:
         assert (sha(out / "results.csv"), sha(out / "summary.csv")) == self.RESULTS[mode]
         traces = {p.name: sha(p) for p in (out / "trace").glob("*.jsonl")}
         assert traces == self.TRACES
+
+    # `mfdist stats` on CONFIG at a budget where every cell but `oracle`'s
+    # fails (its MSEs are written as nan) and at one where every cell completes
+    STATS_MSE = "8db2f38843e34681f216c099014d03ef2d49077b3e494c4042ed24e7be0497f0"
+
+    def test_stats_hash(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(self.CONFIG, budgets=[0.5, 300])))
+        out = tmp_path / "stats"
+        assert cli_main(["stats", "--config", str(cfg_path), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "stats_mse.csv").read_bytes()).hexdigest()
+        assert digest == self.STATS_MSE
 
     # two runs that reach the policy branches the configuration above never
     # does: (config, results.csv and summary.csv sha256, sha256 over every

@@ -76,6 +76,16 @@ class TestConstruction:
             assert sample_inverse_transform(m, 5e-324) == m.atoms[0]
             assert np.array_equal(sample_inverse_transform(m, m._levels[1:]), m.atoms)
 
+    def test_levels_stay_in_unit_interval_when_weights_overshoot(self):
+        # the weights sum to 1 + 5e-13, within tolerance, and the last one is
+        # smaller than the overshoot: the cumsum passes 1 before its end
+        m = EmpiricalMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.6, 0.4 + 5e-13, 1e-13]))
+        assert np.all(np.diff(m._levels) >= 0)
+        assert m._levels[0] == 0.0 and m._levels[-1] == 1.0
+        assert cdf_at(m, 1.5) == 1.0
+        j0, j1 = j_functionals(m)
+        assert j0 == pytest.approx(0.24) and j1 == pytest.approx(np.sqrt(0.24))
+
     def test_duplicates_are_retained(self):
         m = EmpiricalMeasure.from_samples([1.0, 1.0, 1.0])
         assert m.size == 3

@@ -343,6 +343,19 @@ class TestSampleTable:
         with pytest.raises(TableParseError, match="line 3"):
             SampleTable.from_csv(*paths)
 
+    def test_first_malformed_row_wins_over_a_later_non_utf8_byte(self, tmp_path):
+        # the text decoder reads ahead of the rows, from the header read on
+        csv_path, costs_path = self.write_table(tmp_path, ["1.0,2.0,3.0"] * 50)
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[6], lines[41] = b"1.0,abc,3.0", b"1.0,\xff,3.0"
+        csv_path.write_bytes(b"\n".join(lines))
+        with pytest.raises(TableParseError, match="line 7: could not convert string to float"):
+            SampleTable.from_csv(csv_path, costs_path)
+        lines[6], lines[0] = b"1.0,2.0,3.0", b"y,x1,x\xfe"
+        csv_path.write_bytes(b"\n".join(lines))
+        with pytest.raises(TableParseError, match="line 1: byte 0xfe is not UTF-8"):
+            SampleTable.from_csv(csv_path, costs_path)
+
     def test_wrong_field_count_names_line(self, tmp_path):
         paths = self.write_table(tmp_path, ["1.0,2.0"])
         with pytest.raises(TableParseError, match="line 2"):
