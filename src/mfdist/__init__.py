@@ -24,7 +24,6 @@ from .measures import (
     j_functionals,
     kolmogorov,
     moment_summary,
-    quantile,
     sample_inverse_transform,
     wasserstein1,
 )
@@ -54,7 +53,6 @@ from .policy import (
 from .regress import (
     FitResult,
     QuantileFit,
-    design_matrix,
     ols_fit,
     pinball_loss,
     quantile_fit,

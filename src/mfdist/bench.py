@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.eval_samples < 1 or self.oracle_samples < 1:
             raise ConfigError("sample counts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval not in ("sampled", "full"):
             raise ConfigError(f"eval must be 'sampled' or 'full', got {self.eval!r}")
 

@@ -19,7 +19,6 @@ __all__ = [
     "EmpiricalMeasure",
     "MomentSummary",
     "cdf_at",
-    "quantile",
     "wasserstein1",
     "kolmogorov",
     "j_functionals",
@@ -148,14 +147,6 @@ class MomentSummary:
 def cdf_at(m: EmpiricalMeasure, x: float) -> float:
     """Right-continuous CDF value: total weight of atoms <= x."""
     return float(_cdf_on_grid(m, x))
-
-
-def quantile(m: EmpiricalMeasure, t: float) -> float:
-    """Generalized inverse CDF: the smallest atom whose CDF value reaches t.
-
-    Left-continuous step function of ``t`` on (0, 1].
-    """
-    return sample_inverse_transform(m, t)
 
 
 def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray) -> np.ndarray:
@@ -296,7 +287,8 @@ def moment_summary(m: EmpiricalMeasure) -> MomentSummary:
 
 
 def sample_inverse_transform(m: EmpiricalMeasure, u):
-    """Inverse-transform sampling: evaluate the quantile function at u.
+    """Inverse-transform sampling: evaluate the quantile function at u, the
+    smallest atom whose CDF value reaches u (left-continuous in u).
 
     Accepts a scalar in (0, 1] or an array of such values; feeding uniform
     draws reproduces the measure in distribution.  NaN is rejected.

@@ -2,7 +2,7 @@
 
 A :class:`ModelSuite` bundles a seeded joint sampler of the high-fidelity
 output and its low-fidelity surrogates, the declared per-model costs, and a
-feature map that turns a surrogate subset into regression features.  Costs
+feature map that turns a surrogate subset into its regression design.  Costs
 are declared, never measured: one exploration round (all models) costs
 ``c_epr``; one exploitation round of subset S costs ``c_ept(S)`` regardless
 of any feature expansion.
@@ -34,7 +34,6 @@ __all__ = [
     "all_subsets",
     "cubic_expansion",
     "expanded_suite",
-    "identity_features",
     "ishigami_suite",
     "quadratic_interaction_expansion",
     "suite_from_config",
@@ -65,12 +64,13 @@ def all_subsets(n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Maps a surrogate subset to its regression features (intercept excluded).
+    """Maps a surrogate subset to its regression design, intercept included.
 
-    Every subset always gets the identity features of its own models; the
-    optional ``extra`` monomials are included for a subset exactly when every
-    model they reference belongs to it, which realizes per-subset feature
-    spans like {X1, X1^2, X1^3} without changing exploitation costs.
+    The full design's columns are the intercept, X1..Xn, then the ``extra``
+    monomials in declaration order.  A subset gets the intercept, its own
+    models, and each extra monomial whose models all belong to it, which
+    realizes per-subset feature spans like {X1, X1^2, X1^3} without changing
+    exploitation costs.
     """
 
     n: int
@@ -87,27 +87,25 @@ class FeatureMap:
                 if power < 1:
                     raise ConfigError(f"monomial power must be >= 1, got {power}")
 
-    def terms(self, subset: tuple[int, ...]) -> list[Monomial]:
-        base: list[Monomial] = [((i, 1),) for i in subset]
+    def columns(self, subset: tuple[int, ...]) -> list[int]:
+        """Positions of the subset's columns in the full design: 0, then its
+        models i, then n + 1 + j for each extra monomial j it spans."""
         members = set(subset)
-        return base + [
-            mono for mono in self.extra if all(i in members for i, _ in mono)
-        ]
+        spanned = [j for j, mono in enumerate(self.extra) if all(i in members for i, _ in mono)]
+        return [0, *subset, *(self.n + 1 + j for j in spanned)]
 
-    def build(self, subset: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-        """Feature block (rows, k) for a subset, from raw draws x of shape (rows, n)."""
+    def design(self, x: np.ndarray, subset: tuple[int, ...] | None = None) -> np.ndarray:
+        """The (rows, 1 + k) design of ``subset`` (default: the full design) from
+        draws x of shape (rows, n), reading only the subset's columns of x."""
         x = np.atleast_2d(x)
-        cols = []
-        for mono in self.terms(subset):
-            col = np.ones(x.shape[0])
+        terms = [(), *(((i, 1),) for i in range(1, self.n + 1)), *self.extra]
+        if subset is not None:
+            terms = [terms[c] for c in self.columns(subset)]
+        Z = np.ones((x.shape[0], len(terms)))
+        for col, mono in zip(Z.T, terms):
             for idx, power in mono:
-                col = col * x[:, idx - 1] ** power
-            cols.append(col)
-        return np.column_stack(cols)
-
-
-def identity_features(n: int) -> FeatureMap:
-    return FeatureMap(n=n)
+                col *= x[:, idx - 1] ** power
+        return Z
 
 
 def cubic_expansion(n: int) -> FeatureMap:
@@ -127,7 +125,7 @@ def quadratic_interaction_expansion(n: int) -> FeatureMap:
 
 
 _EXPANSIONS: dict[str, Callable[[int], FeatureMap]] = {
-    "none": identity_features,
+    "none": FeatureMap,
     "L": cubic_expansion,
     "quadratic-interactions": quadratic_interaction_expansion,
 }
@@ -157,8 +155,11 @@ class ModelSuite:
     feature_map: FeatureMap | None = None
 
     def __post_init__(self) -> None:
-        if self.cost_y <= 0 or any(c <= 0 for c in self.costs):
-            raise ConfigError("all model costs must be positive")
+        if not all(0.0 < c < np.inf for c in (self.cost_y, *self.costs)):
+            raise ConfigError(
+                f"model costs must be positive and finite, got cost_y={self.cost_y!r} "
+                f"and costs={list(self.costs)!r}"
+            )
         if len(self.costs) == 0:
             raise ConfigError("a suite needs at least one low-fidelity model")
         if len(self.costs) > MAX_MODELS:
@@ -167,7 +168,7 @@ class ModelSuite:
                 "(subset enumeration is exponential)"
             )
         if self.feature_map is None:
-            object.__setattr__(self, "feature_map", identity_features(len(self.costs)))
+            object.__setattr__(self, "feature_map", FeatureMap(len(self.costs)))
         elif self.feature_map.n != len(self.costs):
             raise ConfigError("feature map and cost vector disagree on model count")
 
@@ -205,10 +206,6 @@ class ModelSuite:
                 f"sampler returned x of shape {x.shape}; expected ({size}, {self.n})"
             )
         return y, x
-
-    def features(self, subset: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-        assert self.feature_map is not None
-        return self.feature_map.build(subset, x)
 
     def subsets(self) -> list[tuple[int, ...]]:
         return all_subsets(self.n)
@@ -323,11 +320,12 @@ def ishigami_suite(
 
 
 def expanded_suite(base: ModelSuite, expansion: FeatureMap | str) -> ModelSuite:
-    """Same joint law and costs as ``base``, with a richer per-subset feature span."""
-    if isinstance(expansion, str):
+    """Same joint law and costs as ``base``, with a richer per-subset feature
+    span; anything but a FeatureMap is read as the name of an expansion."""
+    if not isinstance(expansion, FeatureMap):
         try:
             expansion = _EXPANSIONS[expansion](base.n)
-        except KeyError:
+        except (KeyError, TypeError):
             raise ConfigError(
                 f"unknown expansion {expansion!r}; expected one of {sorted(_EXPANSIONS)}"
             ) from None
@@ -410,15 +408,6 @@ class SampleTable:
         return cls(
             y=np.asarray(y_rows), x=np.asarray(x_rows), cost_y=cost_y, costs=costs
         )
-
-    def to_csv(self, path: str | Path, costs_path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y"] + [f"x{i}" for i in range(1, len(self.costs) + 1)])
-            for yi, xi in zip(self.y, self.x):
-                writer.writerow([repr(float(yi))] + [repr(float(v)) for v in xi])
-        with open(costs_path, "w", encoding="utf-8") as fh:
-            json.dump({"cost_y": self.cost_y, "costs": list(self.costs)}, fh)
 
 
 def load_json_object(path: str | Path) -> dict:

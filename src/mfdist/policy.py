@@ -22,7 +22,7 @@ from .errors import (
 )
 from .measures import EmpiricalMeasure, j_functionals
 from .models import ModelSuite
-from .regress import FitResult, design_matrix, ols_fit, quantile_fit
+from .regress import FitResult, ols_fit, quantile_fit
 
 __all__ = [
     "PolicyState",
@@ -208,14 +208,15 @@ def _k1(fit: FitResult, dim: int) -> float:
 def _subset_score(
     suite: ModelSuite,
     subset: tuple[int, ...],
+    design: np.ndarray,
     y: np.ndarray,
-    x: np.ndarray,
     j1_y: float,
     budget: float,
 ) -> SubsetScore:
-    t = y.size
-    Z = design_matrix(suite.features(subset, x))
-    cols = Z.shape[1]
+    # a C-ordered copy, as FeatureMap.design(x, subset) returns: the strided
+    # gather would move the fit's low bits
+    Z = np.ascontiguousarray(design[:, suite.feature_map.columns(subset)])
+    t, cols = Z.shape
     rank_ok, k1, k2, m_star, rho = False, np.nan, np.nan, np.nan, np.inf
     if t > cols:
         fit = ols_fit(Z, y)
@@ -251,8 +252,9 @@ def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
     if state.t < suite.n + 2:
         raise PolicyError(f"scoring requires t >= {suite.n + 2}, have t={state.t}")
     _, j1_y = j_functionals(EmpiricalMeasure.from_samples(state.y_epr))
+    design = suite.feature_map.design(state.x_epr)
     return [
-        _subset_score(suite, subset, state.y_epr, state.x_epr, j1_y, state.budget)
+        _subset_score(suite, subset, design, state.y_epr, j1_y, state.budget)
         for subset in suite.subsets()
     ]
 
@@ -372,7 +374,7 @@ def exploit(
             f"exploration spent {state.spent} of {state.budget}; "
             f"no exploitation sample at cost {c_ept} is affordable"
         )
-    Z = design_matrix(suite.features(subset, state.x_epr))
+    Z = suite.feature_map.design(state.x_epr, subset)
     if variant == "quantile":
         k = QUANTILE_GRID_SIZE
         levels = quantile_fit(Z, state.y_epr, np.arange(1, k + 1) / (k + 1.0))
@@ -381,7 +383,7 @@ def exploit(
     # draw order is part of the determinism contract: surrogate inputs first,
     # then the noise indices
     _, x = suite.draw(rng, n_exploit, subset)
-    Z = design_matrix(suite.features(subset, x))
+    Z = suite.feature_map.design(x, subset)
     if variant == "quantile":
         values = levels.predict(Z, rng.integers(0, k, size=n_exploit))
     else:
@@ -432,8 +434,9 @@ def pilot_statistics(
     k1: dict[tuple[int, ...], float] = {}
     k2: dict[tuple[int, ...], float] = {}
     sigma2: dict[tuple[int, ...], float] = {}
+    design = suite.feature_map.design(x)
     for subset in suite.subsets():
-        Z = design_matrix(suite.features(subset, x))
+        Z = np.ascontiguousarray(design[:, suite.feature_map.columns(subset)])
         fit = ols_fit(Z, y)
         k1[subset] = _k1(fit, Z.shape[1])
         k2[subset] = suite.c_ept(subset) * j1_y**2

@@ -1,10 +1,10 @@
 """Least-squares and quantile-regression fits on exploration data.
 
 Both fitters operate on an explicit design matrix whose first column is the
-intercept (see :func:`design_matrix`).  The least-squares path uses an
-SVD-based solve, never the normal equations; the quantile path walks the
-vertices of the pinball objective's linear program exactly, by simplex pivots
-shared across the quantile levels.
+intercept (see :meth:`mfdist.models.FeatureMap.design`).  The least-squares
+path uses an SVD-based solve, never the normal equations; the quantile path
+walks the vertices of the pinball objective's linear program exactly, by
+simplex pivots shared across the quantile levels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import InsufficientSampleError, QuantileSolverError
 __all__ = [
     "FitResult",
     "QuantileFit",
-    "design_matrix",
     "ols_fit",
     "pinball_loss",
     "quantile_fit",
@@ -54,17 +53,6 @@ class QuantileFit:
         return np.einsum(
             "ij,ij->i", features_with_intercept, self.betas[level_idx]
         )
-
-
-def design_matrix(features: np.ndarray) -> np.ndarray:
-    """Prepend the intercept column of ones to a (rows, s) feature block.
-
-    A one-dimensional input is treated as a single feature column.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[:, None]
-    return np.hstack([np.ones((features.shape[0], 1)), features])
 
 
 def _check_design(Z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own computational paths:
 brute-force enumeration, closed forms, quadrature, and high-precision
-arithmetic stand on their own so agreement is meaningful.
+arithmetic stand on their own so agreement is meaningful.  The last two
+helpers build test inputs: a design with an intercept, and a table on disk.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ def w1_quantile_grid(measure_a, measure_b) -> float:
     The grid is the measures' own stored levels, so each piece's quantiles
     are looked up on the levels that define them.
     """
-    from mfdist.measures import quantile
+    from mfdist.measures import sample_inverse_transform
 
     grid = np.union1d(measure_a._levels, measure_b._levels)
     total = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
         if hi <= lo:
             continue
-        total += (hi - lo) * abs(quantile(measure_a, hi) - quantile(measure_b, hi))
+        total += (hi - lo) * abs(
+            sample_inverse_transform(measure_a, hi) - sample_inverse_transform(measure_b, hi)
+        )
     return total
 
 
@@ -381,3 +384,27 @@ def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:
     if not y_rows:
         raise TableParseError(f"{path}: table has a header but no data rows")
     return np.asarray(y_rows), np.asarray(x_rows)
+
+
+def with_intercept(features) -> np.ndarray:
+    """The (rows, 1 + s) design of a (rows, s) feature block: a column of
+    ones, then the block; a 1-d input is one feature column."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 1:
+        features = features[:, None]
+    return np.hstack([np.ones((features.shape[0], 1)), features])
+
+
+def write_table(table, path, costs_path) -> None:
+    """Write a ``SampleTable`` as the CSV and cost JSON that
+    ``SampleTable.from_csv`` reads, every value spelled by ``repr``."""
+    import csv
+    import json
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y"] + [f"x{i}" for i in range(1, len(table.costs) + 1)])
+        for yi, xi in zip(table.y, table.x):
+            writer.writerow([repr(float(yi))] + [repr(float(v)) for v in xi])
+    with open(costs_path, "w", encoding="utf-8") as fh:
+        json.dump({"cost_y": table.cost_y, "costs": list(table.costs)}, fh)

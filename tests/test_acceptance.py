@@ -21,13 +21,14 @@ from mfdist.policy import (
     run_aetc_d,
     surrogate_loss,
 )
-from mfdist.regress import design_matrix, ols_fit
+from mfdist.regress import ols_fit
 
 from oracles import (
     golden_section_min,
     ols_normal_equations_mp,
     w1_aligned_uniform,
     w1_bruteforce_assignment,
+    with_intercept,
 )
 
 
@@ -506,7 +507,7 @@ class TestCriterion8:
         for _ in range(100):
             rows = int(rng.integers(5, 60))
             cols = int(rng.integers(1, min(rows - 1, 6)))
-            Z = design_matrix(rng.normal(size=(rows, cols)))
+            Z = with_intercept(rng.normal(size=(rows, cols)))
             y = rng.normal(size=rows)
             fit = ols_fit(Z, y)
             expected = ols_normal_equations_mp(Z, y)

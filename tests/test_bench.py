@@ -26,6 +26,8 @@ from mfdist.errors import BudgetExhaustedError, ConfigError, QuantileSolverError
 from mfdist.models import ishigami_suite
 from mfdist.regress import quantile_fit
 
+from oracles import write_table
+
 
 def small_config(**overrides) -> ExperimentConfig:
     raw = {
@@ -267,9 +269,8 @@ class TestStatisticsComparison:
         from mfdist.models import SampleTable
 
         y, x = ishigami_suite("perfect").draw(np.random.default_rng(8), 2_000)
-        SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001)).to_csv(
-            tmp_path / "table.csv", tmp_path / "costs.json"
-        )
+        table = SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001))
+        write_table(table, tmp_path / "table.csv", tmp_path / "costs.json")
         parse = SampleTable.from_csv.__func__
         calls = []
 
@@ -431,9 +432,22 @@ class TestOutputsAndCli:
             ({"fixed_subset": "12"}, "config key 'fixed_subset' has an invalid value '12'"),
             ({"suite": {"name": "ishigami-perfect", "costs": "12"}},
              "suite config values must be numbers and 'costs' an array of them"),
+            ({"suite": {"name": "ishigami-perfect", "expansion": ["L"]}},
+             "unknown expansion ['L']; expected one of"),
+            ({"suite": {"name": "ishigami-perfect", "expansion": 3}},
+             "unknown expansion 3; expected one of"),
+            ({"suite": {"name": "ishigami-perfect", "cost_y": "inf"}},
+             "model costs must be positive and finite, got cost_y=inf"),
+            ({"suite": {"name": "ishigami-perfect", "cost_y": "nan"}},
+             "model costs must be positive and finite, got cost_y=nan"),
+            ({"suite": {"name": "ishigami-perfect", "costs": [0.05, "-inf"]}},
+             "model costs must be positive and finite, got cost_y=1.0 and costs=[0.05, -inf]"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
         ids=["duplicate-methods", "fixed-m-below-minimum", "ishigami-path",
-             "budgets-string", "fixed_subset-string", "suite-costs-string"],
+             "budgets-string", "fixed_subset-string", "suite-costs-string",
+             "expansion-list", "expansion-int", "cost_y-inf", "cost_y-nan",
+             "costs-negative-inf", "negative-seed"],
     )
     def test_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, edit, message):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
@@ -587,9 +601,8 @@ class TestOutputsAndCli:
 
         y, x = ishigami_suite("perfect").draw(np.random.default_rng(2), 20)
         costs_path = tmp_path / "costs.json"
-        SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001)).to_csv(
-            tmp_path / "table.csv", costs_path
-        )
+        table = SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001))
+        write_table(table, tmp_path / "table.csv", costs_path)
         costs_path.write_text(meta)
         config = {
             "suite": {"name": "table", "path": str(tmp_path / "table.csv"),
@@ -599,6 +612,32 @@ class TestOutputsAndCli:
         }
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err.startswith(f"error: {costs_path}: ")
+
+    @pytest.mark.parametrize(
+        "meta, costs",
+        [('{"cost_y": Infinity, "costs": [0.05, 0.001]}', "cost_y=inf and costs=[0.05, 0.001]"),
+         ('{"cost_y": 1.0, "costs": [NaN, 0.001]}', "cost_y=1.0 and costs=[nan, 0.001]"),
+         ('{"cost_y": 1.0, "costs": [0.05, 0]}', "cost_y=1.0 and costs=[0.05, 0.0]")],
+        ids=["cost_y-inf", "costs-nan", "costs-zero"],
+    )
+    def test_table_cost_not_positive_and_finite_rejected(
+        self, tmp_path, capsys, monkeypatch, meta, costs
+    ):
+        from mfdist.models import SampleTable
+
+        y, x = ishigami_suite("perfect").draw(np.random.default_rng(2), 20)
+        costs_path = tmp_path / "costs.json"
+        table = SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001))
+        write_table(table, tmp_path / "table.csv", costs_path)
+        costs_path.write_text(meta)
+        config = {
+            "suite": {"name": "table", "path": str(tmp_path / "table.csv"),
+                      "costs_path": str(costs_path)},
+            "methods": ["ecdf-y"],
+            "budgets": [60.0],
+        }
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err == f"error: model costs must be positive and finite, got {costs}\n"
 
     def test_non_integer_m_grid_rejected(self, tmp_path, capsys, monkeypatch):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}

@@ -14,7 +14,6 @@ from mfdist.measures import (
     j_functionals,
     kolmogorov,
     moment_summary,
-    quantile,
     sample_inverse_transform,
     wasserstein1,
 )
@@ -128,35 +127,28 @@ class TestCdfAndQuantile:
 
     def test_quantile_examples(self):
         two = uniform_measure(0.0, 1.0)
-        assert quantile(two, 0.5) == 0.0
-        assert quantile(two, 0.75) == 1.0
-        assert quantile(uniform_measure(2.0, 5.0, 7.0), 0.34) == 5.0
+        assert sample_inverse_transform(two, 0.5) == 0.0
+        assert sample_inverse_transform(two, 0.75) == 1.0
+        assert sample_inverse_transform(uniform_measure(2.0, 5.0, 7.0), 0.34) == 5.0
 
     def test_quantile_domain(self):
         m = uniform_measure(0.0, 1.0)
         for bad in (0.0, -0.1, 1.0 + 1e-9):
             with pytest.raises(ValueError):
-                quantile(m, bad)
-        assert quantile(m, 1.0) == 1.0
+                sample_inverse_transform(m, bad)
+        assert sample_inverse_transform(m, 1.0) == 1.0
 
     def test_quantile_left_continuous_in_t(self):
         m = uniform_measure(0.0, 1.0)
         # at the jump level the lower atom is still returned
-        assert quantile(m, 0.5) == 0.0
-        assert quantile(m, 0.5 + 1e-12) == 1.0
-
-    def test_inverse_transform_delegates(self):
-        m = uniform_measure(2.0, 5.0, 7.0)
-        for t in (0.2, 0.34, 0.99, 1.0):
-            assert sample_inverse_transform(m, t) == quantile(m, t)
+        assert sample_inverse_transform(m, 0.5) == 0.0
+        assert sample_inverse_transform(m, 0.5 + 1e-12) == 1.0
 
     def test_nan_level_rejected(self):
         m = uniform_measure(1.0, 2.0, 3.0)
         for u in (np.nan, np.array([0.5, np.nan])):
             with pytest.raises(ValueError):
                 sample_inverse_transform(m, u)
-            with pytest.raises(ValueError):
-                quantile(m, u)
 
     def test_inverse_transform_reproduces_measure(self):
         m = uniform_measure(-1.0, 0.0, 2.0, 2.0)

@@ -22,7 +22,7 @@ from mfdist.models import (
     table_suite,
 )
 
-from oracles import ishigami_terms_float_powers, table_rows_line_loop
+from oracles import ishigami_terms_float_powers, table_rows_line_loop, write_table
 
 
 class TestSubsetEnumeration:
@@ -249,20 +249,32 @@ class TestDrawMemory:
 
 class TestFeatureExpansion:
     def test_cubic_terms_for_single_model(self):
+        # full design: 1, X1, X2, X1^2, X1^3, X2^2, X2^3
         suite = expanded_suite(ishigami_suite("perfect"), "L")
-        assert suite.feature_map.terms((1,)) == [((1, 1),), ((1, 2),), ((1, 3),)]
+        assert suite.feature_map.columns((1,)) == [0, 1, 3, 4]
+        assert suite.feature_map.columns((2,)) == [0, 2, 5, 6]
 
     def test_quadratic_interactions_full_subset(self):
         fm = quadratic_interaction_expansion(3)
-        assert len(fm.terms((1, 2, 3))) == 9
-        assert len(fm.terms((1, 2))) == 5
-        assert len(fm.terms((2,))) == 2
+        assert fm.columns((1, 2, 3)) == list(range(10))
+        assert fm.columns((1, 2)) == [0, 1, 2, 4, 5, 7]
+        assert fm.columns((2,)) == [0, 2, 5]
 
     def test_feature_values(self):
         fm = quadratic_interaction_expansion(2)
         x = np.array([[2.0, 3.0]])
-        feats = fm.build((1, 2), x)
-        assert feats.tolist() == [[2.0, 3.0, 4.0, 9.0, 6.0]]
+        assert fm.design(x).tolist() == [[1.0, 2.0, 3.0, 4.0, 9.0, 6.0]]
+        assert fm.design(x, (2,)).tolist() == [[1.0, 3.0, 9.0]]
+
+    @pytest.mark.parametrize("expansion", sorted(models._EXPANSIONS))
+    def test_subset_design_is_the_gathered_full_design(self, expansion):
+        fm = models._EXPANSIONS[expansion](3)
+        x = np.random.default_rng(4).normal(scale=3.0, size=(41, 3))
+        full = fm.design(x)
+        for subset in all_subsets(3):
+            Z = fm.design(x, subset)
+            assert Z.flags.c_contiguous
+            assert Z.tobytes() == np.ascontiguousarray(full[:, fm.columns(subset)]).tobytes()
 
     def test_identity_expansion_is_transparent(self):
         base = ishigami_suite("perfect")
@@ -324,7 +336,7 @@ class TestSampleTable:
             cost_y=2.0,
             costs=(0.5, 0.25),
         )
-        table.to_csv(tmp_path / "r.csv", tmp_path / "r.json")
+        write_table(table, tmp_path / "r.csv", tmp_path / "r.json")
         loaded = SampleTable.from_csv(tmp_path / "r.csv", tmp_path / "r.json")
         assert np.array_equal(loaded.y, table.y)
         assert np.array_equal(loaded.x, table.x)
@@ -542,7 +554,7 @@ class TestTableFastPath:
             y=rng.standard_normal(rows), x=rng.standard_normal((rows, n)),
             cost_y=1.0, costs=(0.5,) * n,
         )
-        table.to_csv(tmp_path / "m.csv", tmp_path / "m.json")
+        write_table(table, tmp_path / "m.csv", tmp_path / "m.json")
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -577,7 +589,7 @@ class TestSuiteFromConfig:
         table = SampleTable(
             y=np.array([1.0, 2.0]), x=np.array([[0.0], [1.0]]), cost_y=1.0, costs=(0.1,)
         )
-        table.to_csv(tmp_path / "d.csv", tmp_path / "d.json")
+        write_table(table, tmp_path / "d.csv", tmp_path / "d.json")
         suite = suite_from_config(
             {"name": "table", "path": str(tmp_path / "d.csv"),
              "costs_path": str(tmp_path / "d.json")}

@@ -6,7 +6,7 @@ from scipy import stats
 
 from mfdist.errors import BudgetExhaustedError, InfeasibleExploitationError, PolicyError
 from mfdist.measures import EmpiricalMeasure, wasserstein1
-from mfdist.models import ModelSuite, ishigami_suite
+from mfdist.models import FeatureMap, ModelSuite, expanded_suite, ishigami_suite
 from mfdist.policy import (
     COMMITTED,
     EXPLORING,
@@ -24,7 +24,7 @@ from mfdist.policy import (
     surrogate_loss,
 )
 
-from oracles import golden_section_min
+from oracles import golden_section_min, with_intercept
 
 
 def linear_gaussian_suite(noise=0.3, costs=(0.05, 0.01), cost_y=1.0) -> ModelSuite:
@@ -138,6 +138,27 @@ class TestScoreSubsets:
         assert scores[(1,)].k1_hat == 0.0
         assert not scores[(1,)].eligible
         assert np.isinf(scores[(1,)].rho)
+
+    def test_one_design_per_round(self, monkeypatch):
+        # every subset's design is a column gather of one full design
+        calls = []
+        design = FeatureMap.design
+
+        def counting(self, x, subset=None):
+            calls.append(subset)
+            return design(self, x, subset)
+
+        def sample(rng, size, models):
+            x = rng.normal(size=(size, 3))
+            return x.sum(axis=1) + rng.normal(size=size), x
+
+        three = ModelSuite(name="three", cost_y=1.0, costs=(0.1,) * 3, sampler=sample)
+        monkeypatch.setattr(FeatureMap, "design", counting)
+        for suite in (linear_gaussian_suite(), expanded_suite(three, "L")):
+            state = start_exploration(suite, 100.0, np.random.default_rng(3))
+            calls.clear()
+            assert len(score_subsets(state, suite)) == 2**suite.n - 1
+            assert calls == [None]
 
     def test_monotone_in_k1_at_equal_k2(self):
         budget, c_epr = 1000.0, 1.0
@@ -293,7 +314,7 @@ class TestExploit:
         # exact replay of the documented draw order: surrogate inputs first,
         # then bootstrap noise indices into the residual pool
         from mfdist.policy import PolicyState
-        from mfdist.regress import design_matrix, ols_fit
+        from mfdist.regress import ols_fit
 
         suite = linear_gaussian_suite()
         prep_rng = np.random.default_rng(20)
@@ -304,11 +325,11 @@ class TestExploit:
             phase=COMMITTED, chosen=(1,),
         )
         estimate = exploit(state, suite, variant="standard", rng=np.random.default_rng(21))
-        fit = ols_fit(design_matrix(suite.features((1,), x_epr)), y_epr)
+        fit = ols_fit(with_intercept(x_epr[:, 0]), y_epr)
         replay = np.random.default_rng(21)
         n = estimate.size
         _, x = suite.draw(replay, n)
-        lin = design_matrix(suite.features((1,), x)) @ fit.beta_hat
+        lin = with_intercept(x[:, 0]) @ fit.beta_hat
         noise = fit.residuals[replay.integers(0, fit.residuals.size, size=n)]
         assert np.array_equal(estimate.atoms, np.sort(lin + noise))
 

@@ -6,7 +6,6 @@ import pytest
 from mfdist.errors import InsufficientSampleError
 from mfdist.regress import (
     QuantileFit,
-    design_matrix,
     ols_fit,
     pinball_loss,
     quantile_fit,
@@ -18,12 +17,13 @@ from oracles import (
     pinball_loss_exact,
     pinball_primal_lp,
     pinball_subgradient_margin,
+    with_intercept,
 )
 
 
 class TestOlsFit:
     def test_constant_fit(self):
-        Z = design_matrix(np.zeros((3, 0)))
+        Z = with_intercept(np.zeros((3, 0)))
         fit = ols_fit(Z, np.array([3.0, 3.0, 3.0]))
         assert fit.beta_hat == pytest.approx([3.0])
         assert np.max(np.abs(fit.residuals)) <= 1e-12
@@ -32,7 +32,7 @@ class TestOlsFit:
 
     def test_exact_interpolation(self):
         rng = np.random.default_rng(0)
-        Z = design_matrix(rng.normal(size=(30, 3)))
+        Z = with_intercept(rng.normal(size=(30, 3)))
         y = Z @ np.array([1.0, -2.0, 0.5, 4.0])
         fit = ols_fit(Z, y)
         assert np.max(np.abs(fit.residuals)) <= 1e-10
@@ -41,7 +41,7 @@ class TestOlsFit:
     def test_matches_extended_precision_normal_equations(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            Z = design_matrix(rng.normal(size=(50, 2)))
+            Z = with_intercept(rng.normal(size=(50, 2)))
             y = rng.normal(size=50)
             fit = ols_fit(Z, y)
             expected = ols_normal_equations_mp(Z, y)
@@ -52,14 +52,14 @@ class TestOlsFit:
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            Z = design_matrix(rng.normal(size=(40, 4)))
+            Z = with_intercept(rng.normal(size=(40, 4)))
             y = rng.normal(size=40) * 10.0
             fit = ols_fit(Z, y)
             assert np.max(np.abs(Z.T @ fit.residuals)) <= 1e-8 * np.linalg.norm(y)
 
     def test_sigma2_shift_invariant_with_intercept(self):
         rng = np.random.default_rng(3)
-        Z = design_matrix(rng.normal(size=(25, 2)))
+        Z = with_intercept(rng.normal(size=(25, 2)))
         y = rng.normal(size=25)
         assert ols_fit(Z, y + 100.0).sigma2_hat == pytest.approx(
             ols_fit(Z, y).sigma2_hat, rel=1e-9
@@ -68,16 +68,16 @@ class TestOlsFit:
     def test_rank_deficient_flags_and_min_norm(self):
         rng = np.random.default_rng(4)
         col = rng.normal(size=20)
-        Z = design_matrix(np.column_stack([col, 2.0 * col]))  # collinear
+        Z = with_intercept(np.column_stack([col, 2.0 * col]))  # collinear
         y = rng.normal(size=20)
         fit = ols_fit(Z, y)
         assert not fit.rank_ok
         # the minimum-norm solution still reproduces the projection
-        full = ols_fit(design_matrix(col), y)
-        assert np.allclose(Z @ fit.beta_hat, design_matrix(col) @ full.beta_hat, atol=1e-8)
+        full = ols_fit(with_intercept(col), y)
+        assert np.allclose(Z @ fit.beta_hat, with_intercept(col) @ full.beta_hat, atol=1e-8)
 
     def test_dimension_errors(self):
-        Z = design_matrix(np.ones((3, 2)))
+        Z = with_intercept(np.ones((3, 2)))
         with pytest.raises(ValueError):
             ols_fit(Z, np.ones(4))
         with pytest.raises(InsufficientSampleError):
@@ -111,18 +111,18 @@ def mean_pinball(Z, y, tau, beta):
 
 class TestQuantileFit:
     def test_median_of_constant(self):
-        Z = design_matrix(np.zeros((3, 0)))
+        Z = with_intercept(np.zeros((3, 0)))
         qf = quantile_fit(Z, np.array([3.0, 3.0, 3.0]), [0.5])
         assert qf.betas[0, 0] == pytest.approx(3.0, abs=1e-7)
 
     def test_even_sample_median_takes_lower_middle(self):
-        Z = design_matrix(np.zeros((10, 0)))
+        Z = with_intercept(np.zeros((10, 0)))
         y = np.arange(1.0, 11.0)
         qf = quantile_fit(Z, y, [0.5])
         assert qf.betas[0, 0] == pytest.approx(5.0, abs=1e-6)
 
     def test_tau09_scan_oracle(self):
-        Z = design_matrix(np.zeros((10, 0)))
+        Z = with_intercept(np.zeros((10, 0)))
         y = np.arange(1.0, 11.0)
         qf = quantile_fit(Z, y, [0.9])
         scanned = min(y, key=lambda b: mean_pinball(Z, y, 0.9, np.array([b])))
@@ -131,14 +131,14 @@ class TestQuantileFit:
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(5)
-        Z = design_matrix(rng.normal(size=(40, 2)))
+        Z = with_intercept(rng.normal(size=(40, 2)))
         beta = np.array([2.0, -1.0, 0.25])
         qf = quantile_fit(Z, Z @ beta, [0.1, 0.5, 0.9])
         assert np.max(np.abs(qf.betas - beta)) <= 1e-6
 
     def test_objective_optimality_against_perturbations(self):
         rng = np.random.default_rng(6)
-        Z = design_matrix(rng.normal(size=(60, 3)))
+        Z = with_intercept(rng.normal(size=(60, 3)))
         y = rng.normal(size=60)
         qf = quantile_fit(Z, y, [0.3, 0.7])
         for tau, beta in zip(qf.taus, qf.betas):
@@ -149,7 +149,7 @@ class TestQuantileFit:
 
     def test_subgradient_contains_zero(self):
         rng = np.random.default_rng(7)
-        Z = design_matrix(rng.normal(size=(50, 2)))
+        Z = with_intercept(rng.normal(size=(50, 2)))
         y = rng.normal(size=50)
         qf = quantile_fit(Z, y, [0.2, 0.5, 0.8])
         for tau, beta in zip(qf.taus, qf.betas):
@@ -158,7 +158,7 @@ class TestQuantileFit:
     def test_monotone_in_tau_intercept_only(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=23)
-        Z = design_matrix(np.zeros((23, 0)))
+        Z = with_intercept(np.zeros((23, 0)))
         taus = np.linspace(0.02, 0.98, 49)
         qf = quantile_fit(Z, y, taus)
         levels = qf.betas[:, 0]
@@ -167,7 +167,7 @@ class TestQuantileFit:
     def test_intercept_only_matches_order_statistics(self):
         # non-integral tau*m: the minimizer is the unique ceil(tau*m)-th value
         y = np.array([4.0, 1.0, 3.0, 2.0, 5.0, 9.0, 7.0])
-        Z = design_matrix(np.zeros((7, 0)))
+        Z = with_intercept(np.zeros((7, 0)))
         qf = quantile_fit(Z, y, [0.25, 0.6])
         y_sorted = np.sort(y)
         assert qf.betas[0, 0] == pytest.approx(y_sorted[int(np.ceil(0.25 * 7)) - 1], abs=1e-7)
@@ -175,14 +175,14 @@ class TestQuantileFit:
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
-        Z = design_matrix(rng.normal(size=(30, 2)))
+        Z = with_intercept(rng.normal(size=(30, 2)))
         y = rng.normal(size=30)
         a = quantile_fit(Z, y, [0.4, 0.6])
         b = quantile_fit(Z, y, [0.4, 0.6])
         assert np.array_equal(a.betas, b.betas)
 
     def test_bad_tau_grid(self):
-        Z = design_matrix(np.zeros((5, 0)))
+        Z = with_intercept(np.zeros((5, 0)))
         y = np.arange(5.0)
         with pytest.raises(ValueError):
             quantile_fit(Z, y, [0.5, 0.5])
@@ -215,7 +215,7 @@ class TestQuantileFitAgainstPrimalLP:
     def test_random_designs(self, cols):
         rng = np.random.default_rng(100 + cols)
         for rows in (cols + 1, 3 * cols, 80):
-            Z = design_matrix(rng.normal(size=(rows, cols - 1)))
+            Z = with_intercept(rng.normal(size=(rows, cols - 1)))
             y = Z @ rng.normal(size=cols) + rng.standard_t(2, size=rows)
             self.check(Z, y, self.TAUS)
 
@@ -223,13 +223,13 @@ class TestQuantileFitAgainstPrimalLP:
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 2.0, size=(300, 3))
         y = 1e4 * x[:, 0] * (1.0 + rng.uniform(-1.0, 1.0, 300)) + 1e6
-        self.check(design_matrix(x), y, np.arange(1, 101) / 101.0)
+        self.check(with_intercept(x), y, np.arange(1, 101) / 101.0)
 
     @pytest.mark.parametrize("cols", [2, 4])
     def test_duplicate_heavy_bootstraps(self, cols):
         # 400 draws of 40 distinct rows, as table suites produce
         rng = np.random.default_rng(200 + cols)
-        Z0 = design_matrix(rng.normal(size=(40, cols - 1)))
+        Z0 = with_intercept(rng.normal(size=(40, cols - 1)))
         y0 = Z0 @ rng.normal(size=cols) + rng.normal(size=40)
         idx = rng.integers(0, 40, size=400)
         self.check(Z0[idx], y0[idx], self.TAUS)
@@ -237,13 +237,13 @@ class TestQuantileFitAgainstPrimalLP:
     def test_discrete_design_with_repeated_responses(self):
         # many rows share a fitted hyperplane exactly: degenerate vertices
         rng = np.random.default_rng(31)
-        Z = design_matrix(rng.integers(0, 3, size=(120, 2)).astype(float))
+        Z = with_intercept(rng.integers(0, 3, size=(120, 2)).astype(float))
         y = rng.integers(0, 4, size=120).astype(float)
         self.check(Z, y, self.TAUS)
 
     def test_exact_fits(self):
         rng = np.random.default_rng(41)
-        Z = design_matrix(rng.integers(-8, 9, size=(60, 3)).astype(float))
+        Z = with_intercept(rng.integers(-8, 9, size=(60, 3)).astype(float))
         beta = np.array([0.5, -2.0, 0.25, 1.0])
         y = Z @ beta  # dyadic: every residual is exactly zero at beta
         qf = self.check(Z, y, self.TAUS)
@@ -261,7 +261,7 @@ class TestQuantileFitAgainstPrimalLP:
         for seed in range(240):
             rng = np.random.default_rng(seed)
             cols = 2 + seed % 4
-            Z = design_matrix(rng.integers(-4, 5, size=(60, cols - 1)).astype(float))
+            Z = with_intercept(rng.integers(-4, 5, size=(60, cols - 1)).astype(float))
             y = Z @ rng.integers(-3, 4, size=cols) * 0.5
             y[::3] += rng.normal(size=20)
             self.check(Z, y, self.TAUS)
@@ -269,7 +269,7 @@ class TestQuantileFitAgainstPrimalLP:
     def test_intercept_only_ties(self):
         # repeated values and levels at k/m, where the argmin is an interval
         y = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 4.0, 2.0])
-        Z = design_matrix(np.zeros((10, 0)))
+        Z = with_intercept(np.zeros((10, 0)))
         taus = np.arange(1, 20) / 20.0
         qf = self.check(Z, y, taus)
         ordered = np.sort(y)
@@ -283,7 +283,7 @@ class TestQuantileFitAgainstPrimalLP:
         # must reject it at the later level, every time
         rng = np.random.default_rng(61)
         x = rng.uniform(0.0, 2.0, 120)
-        Z, y = design_matrix(x), x * (1.0 + rng.uniform(-1.0, 1.0, 120))
+        Z, y = with_intercept(x), x * (1.0 + rng.uniform(-1.0, 1.0, 120))
         taus = np.arange(1, 101) / 101.0
         betas = quantile_fit(Z, y, taus).betas
         moved = np.flatnonzero(np.any(betas[1:] != betas[:-1], axis=1)) + 1
@@ -310,7 +310,7 @@ class TestQuantileFitNearCollinear:
             x1 = rng.normal(size=80)
             x2 = x1 + 1e-7 * rng.normal(size=80)
             y = x1 + 5e6 * (x2 - x1) + 0.5 * rng.normal(size=80)
-            Z = design_matrix(np.column_stack([x1, x2]))
+            Z = with_intercept(np.column_stack([x1, x2]))
             qf = quantile_fit(Z, y, taus)
             for tau, beta in zip(taus[::10], qf.betas[::10]):
                 v = pinball_loss_exact(Z, y, tau, beta)
@@ -340,7 +340,7 @@ class TestLexicographicTies:
 
     def test_face_end_is_exact(self):
         y = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 4.0, 2.0])
-        Z = design_matrix(np.zeros((10, 0)))
+        Z = with_intercept(np.zeros((10, 0)))
         beta = quantile_fit(Z, y, [0.2]).betas[0]
         assert beta[0] == 1.0
         assert mean_pinball(Z, y, 0.2, beta) == pytest.approx(0.32, rel=1e-15)
@@ -357,7 +357,7 @@ class TestLexicographicTies:
         # [-1, 1] is optimal too, and the coordinate directions see no tie there
         x = np.array([1.0, -1.0, 1.0, -2.0, 2.0, -2.0, -1.0, 1.0, -2.0])
         y = np.array([0.0, -2.0, 3.0, -1.0, 2.0, -1.0, 2.0, -3.0, -3.0])
-        Z = design_matrix(x)
+        Z = with_intercept(x)
         beta = self.check(Z, y, [Fraction(1, 5)]).betas[0]
         assert np.array_equal(beta, [-3.0, 0.0])
         other = np.array([-1.0, 1.0])
@@ -372,7 +372,7 @@ class TestLexicographicTies:
         cols = np.array([(-2, 2), (-1, 2), (1, -1), (-2, -2), (-2, -1),
                          (-1, -2), (1, -1), (1, -2), (-2, 2), (-1, 2)], dtype=float)
         y = np.array([3.0, -1.0, -3.0, 3.0, 1.0, 1.0, -1.0, -3.0, 3.0, -1.0])
-        self.check(design_matrix(cols), y, self.TAUS[:5])
+        self.check(with_intercept(cols), y, self.TAUS[:5])
 
     @pytest.mark.parametrize("first_seed", range(0, 1200, 300))
     def test_small_integer_designs(self, first_seed):
@@ -380,7 +380,7 @@ class TestLexicographicTies:
         for seed in range(first_seed, first_seed + 300):
             rng = np.random.default_rng(seed)
             cols, rows = 1 + seed % 4, 7 + seed % 5
-            Z = design_matrix(rng.integers(-2, 3, (rows, cols - 1)))
+            Z = with_intercept(rng.integers(-2, 3, (rows, cols - 1)))
             y = rng.integers(-3, 4, rows).astype(float)
             self.check(Z, y, self.TAUS)
 
@@ -391,7 +391,7 @@ class TestQuantileFitRankDeficient:
         rng = np.random.default_rng(51)
         x = rng.normal(size=(70, 2))
         y = x @ np.array([1.0, -0.5]) + rng.standard_t(3, size=70)
-        full = design_matrix(x)
+        full = with_intercept(x)
         dependent = x[:, :1] if extra == "copy" else 2.0 * x[:, :1] - 1.0
         Z = np.hstack([full, dependent])
         taus = [0.1, 0.5, 0.9]
