@@ -468,21 +468,16 @@ def fit_tradeoff_curve(
 # ---------------------------------------------------------------------------
 
 
-def run_statistics_comparison(
-    config: ExperimentConfig,
-    threads: int = 1,
-    rows: list[ResultRow] | None = None,
-) -> list[dict]:
+def run_statistics_comparison(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Per-(method, budget) MSE of each moment statistic against the oracle.
 
-    Reuses precomputed rows when given, otherwise runs the experiment.  The
-    pseudo-method ``oracle`` passes the oracle measure through and therefore
-    pins the MSE floor at zero.
+    Runs the experiment without keeping atoms.  The pseudo-method ``oracle``
+    passes the oracle measure through and therefore pins the MSE floor at
+    zero.
     """
     suite = config.build_suite()
     oracle = build_oracle_measure(config, suite)
-    if rows is None:
-        rows, _ = _run_cells(config, suite, oracle, threads, keep_atoms=False)
+    rows, _ = _run_cells(config, suite, oracle, threads, keep_atoms=False)
     targets = vars(moment_summary(oracle))
     out = []
     for method in config.methods:

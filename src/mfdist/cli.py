@@ -133,6 +133,12 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.pilot < 1:
+        raise ConfigError(f"--pilot must be >= 1, got {args.pilot}")
+    if not 0.0 < args.budget < np.inf:  # nan fails both comparisons
+        raise ConfigError(f"--budget must be positive and finite, got {args.budget}")
     suite = suite_from_config(load_json_object(args.suite))
     rng = np.random.default_rng(args.seed)
     pilot = pilot_statistics(suite, args.pilot, rng)

@@ -1,7 +1,7 @@
 """One-dimensional empirical measures and the metrics computed on them.
 
-An :class:`EmpiricalMeasure` is a finite, sorted multiset of real atoms with
-positive weights summing to one.  All distances (1-Wasserstein, Kolmogorov)
+An :class:`EmpiricalMeasure` is the uniform law on a finite, sorted sample of
+real atoms, weight 1/N per atom.  All distances (1-Wasserstein, Kolmogorov)
 and the CDF-variation integrals used by the budget-allocation policy are
 computed exactly from the piecewise-constant CDF; nothing here is estimated
 by sampling.
@@ -26,8 +26,7 @@ __all__ = [
     "sample_inverse_transform",
 ]
 
-_WEIGHT_SUM_TOL = 1e-12
-# two uniform measures whose sizes differ by at most this factor are compared
+# two measures whose sizes differ by at most this factor are compared
 # piece by piece, in O(M); a larger ratio leaves the O(n log M) search path
 # against the larger measure's cached prefix sums cheaper
 _UNIFORM_RATIO = 16
@@ -36,56 +35,36 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Weighted empirical measure on the real line.
+    """Uniform empirical measure on the real line: weight 1/N on each atom.
 
-    ``atoms`` must be sorted non-decreasing and finite; ``weights`` strictly
-    positive and summing to 1 within 1e-12.  Equal weights are read as the
-    uniform law: its cumulative levels are exactly i/N (correctly rounded),
-    so a sample and its k-fold repetition are the same measure.  Instances
-    are immutable (the arrays are frozen) and safe to share across threads.
-    Duplicate atoms are retained.
+    ``atoms`` must be sorted non-decreasing and finite.  Duplicate atoms are
+    retained and carry their multiplicity, so a measure with rational weights
+    k/K is the measure on its atoms repeated k times.  The cumulative levels
+    are exactly i/N (correctly rounded), so a sample and its k-fold
+    repetition are the same measure.  Instances are immutable (the arrays
+    are frozen) and safe to share across threads.
     """
 
     atoms: np.ndarray
-    weights: np.ndarray
     _levels: np.ndarray = field(init=False, repr=False)
-    _uniform: bool = field(init=False, repr=False)
     _prefix: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if atoms.ndim != 1 or weights.ndim != 1:
-            raise ValueError("atoms and weights must be one-dimensional")
+        if atoms.ndim != 1:
+            raise ValueError("atoms must be one-dimensional")
         if atoms.size == 0:
             raise ValueError("an empirical measure needs at least one atom")
-        if atoms.size != weights.size:
-            raise ValueError(
-                f"atoms ({atoms.size}) and weights ({weights.size}) differ in length"
-            )
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
         if np.any(np.diff(atoms) < 0):
             raise ValueError("atoms must be sorted non-decreasing")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
-        total = float(weights.sum())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
-        # levels[i] = F(atoms[i - 1]), with levels[0] = 0 and levels[-1] = 1
-        uniform = bool(weights.min() == weights.max())
-        if uniform:
-            levels = np.arange(atoms.size + 1.0)
-            levels /= atoms.size
-        else:
-            levels = np.zeros(atoms.size + 1)
-            np.cumsum(weights, out=levels[1:])
-            np.minimum(levels, 1.0, out=levels)  # weights may sum to 1 + 1e-12
-            levels[-1] = 1.0
-        for name, array in (("atoms", atoms), ("weights", weights), ("_levels", levels)):
+        # levels[i] = F(atoms[i - 1]) = i/N, with levels[0] = 0 and levels[-1] = 1
+        levels = np.arange(atoms.size + 1.0)
+        levels /= atoms.size
+        for name, array in (("atoms", atoms), ("_levels", levels)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "_uniform", uniform)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalMeasure":
@@ -93,18 +72,14 @@ class EmpiricalMeasure:
         values = np.sort(np.asarray(samples, dtype=np.float64))
         if values.size == 0:
             raise ValueError("cannot build a measure from zero samples")
-        return cls(values, np.full(values.size, 1.0 / values.size))
-
-    @classmethod
-    def point_mass(cls, value: float) -> "EmpiricalMeasure":
-        return cls(np.array([float(value)]), np.array([1.0]))
+        return cls(values)
 
     @property
     def size(self) -> int:
         return int(self.atoms.size)
 
     def _prefix_sums(self) -> tuple[float, np.ndarray]:
-        """(shift, [0, cumsum(weights * (atoms - shift))]), indexed like ``_levels``.
+        """(shift, [0, cumsum((atoms - shift) / N)]), indexed like ``_levels``.
 
         Built on first use and frozen like ``_levels``.  ``shift`` is the mean,
         so the second prefix sum stays of the order of the spread instead of
@@ -114,10 +89,11 @@ class EmpiricalMeasure:
         whichever store lands is correct.
         """
         if self._prefix is None:
-            shift = float(self.weights @ self.atoms)
+            # a dot product against 1/N, not a mean: the two round differently
+            shift = float(np.full(self.size, 1.0 / self.size) @ self.atoms)
             integral = np.zeros(self.size + 1)
             np.subtract(self.atoms, shift, out=integral[1:])
-            integral[1:] *= self.weights
+            integral[1:] *= 1.0 / self.size
             carry = np.longdouble(0.0)
             for start in range(1, self.size + 1, _CHUNK):
                 part = np.cumsum(integral[start:start + _CHUNK], dtype=np.longdouble)
@@ -145,7 +121,7 @@ class MomentSummary:
 
 
 def cdf_at(m: EmpiricalMeasure, x: float) -> float:
-    """Right-continuous CDF value: total weight of atoms <= x."""
+    """Right-continuous CDF value: the share of atoms <= x."""
     return float(_cdf_on_grid(m, x))
 
 
@@ -184,10 +160,8 @@ def _w1_uniform(small: EmpiricalMeasure, large: EmpiricalMeasure) -> float:
 def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact 1-Wasserstein distance: the L1 distance between the two CDFs.
 
-    Equal weights are read as the uniform law, with levels exactly i/N.  Two
-    uniform measures whose sizes differ by at most a factor 16 integrate
+    Two measures whose sizes differ by at most a factor 16 integrate
     |Q_a - Q_b| over integer-length quantile pieces, in O(n + M) arithmetic.
-    Other equal-size pairs sum |F_a - F_b| over the merged atom grid.
     Otherwise the distance is integrated over the smaller measure's blocks
     (lo, hi] of constant quantile x: the larger measure's quantile crosses x
     once, at u* = clip(F(x), lo, hi), and both one-signed pieces come from
@@ -195,14 +169,8 @@ def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     nothing.  No sampling, no approximation.
     """
     small, large = (a, b) if a.size <= b.size else (b, a)
-    if a._uniform and b._uniform and large.size <= _UNIFORM_RATIO * small.size:
+    if large.size <= _UNIFORM_RATIO * small.size:
         return _w1_uniform(small, large)
-    if a.size == b.size:
-        merged = np.sort(np.concatenate([a.atoms, b.atoms]), kind="stable")
-        gaps = np.diff(merged)
-        fa = _cdf_on_grid(a, merged[:-1])
-        fb = _cdf_on_grid(b, merged[:-1])
-        return float(np.abs(fa - fb) @ gaps)
     shift, integral = large._prefix_sums()
     levels = large._levels
 
@@ -253,15 +221,16 @@ def moment_summary(m: EmpiricalMeasure) -> MomentSummary:
 
     Requires at least 2 atoms for the variance, 3 for the skewness, and 4 for
     the kurtosis; since all four statistics are returned, fewer than 4 atoms
-    is an error.  For non-uniform weights the unbiased variance uses the
-    reliability-weights correction 1/(1 - sum(w^2)).
+    is an error.  The unbiased variance is the second central moment times
+    N/(N - 1).
     """
     for threshold, name in ((2, "variance"), (3, "skewness"), (4, "kurtosis")):
         if m.size < threshold:
             raise InsufficientSampleError(
                 f"{name} needs at least {threshold} atoms, measure has {m.size}"
             )
-    w = m.weights
+    # dot products against 1/N, not means: the two round differently
+    w = np.full(m.size, 1.0 / m.size)
     mean = float(w @ m.atoms)
     dev = m.atoms - mean
     # a second centring takes out the rounding of the first mean

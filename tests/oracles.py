@@ -30,7 +30,7 @@ def w1_bruteforce_assignment(a, b) -> float:
 
 
 def w1_quantile_grid(measure_a, measure_b) -> float:
-    """Quantile-representation integral on the merged cumulative-weight grid.
+    """Quantile-representation integral on the merged grid of levels i/N.
 
     The grid is the measures' own stored levels, so each piece's quantiles
     are looked up on the levels that define them.
@@ -73,7 +73,7 @@ def kolmogorov_bruteforce(measure_a, measure_b) -> float:
 
     At each atom x of either measure, F(x) and F(x-) of each measure come
     from their own ``searchsorted`` calls (right and left) on the measure's
-    cumulative weights; the sup is the largest gap of either kind.
+    atoms, read off its levels; the sup is the largest gap of either kind.
     """
     grid = np.concatenate([measure_a.atoms, measure_b.atoms])
     gaps = []

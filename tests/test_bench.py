@@ -296,12 +296,6 @@ class TestStatisticsComparison:
         assert rc == 0
         assert len(calls) == 1
 
-    def test_reuses_rows(self):
-        cfg = small_config(methods=["ecdf-y"], budgets=[60.0], replicates=2)
-        rows, _ = run_experiment(cfg)
-        table = run_statistics_comparison(cfg, rows=rows)
-        assert len(table) == 1 and np.isfinite(table[0]["mse_mean"])
-
 
 class TestOutputsAndCli:
     def test_csv_files(self, tmp_path):
@@ -382,6 +376,31 @@ class TestOutputsAndCli:
         report = json.loads(capsys.readouterr().out)
         assert report["S_opt"] == [1]
         assert 150 <= report["m_star_opt"] <= 230
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--pilot", "0"], "--pilot must be >= 1, got 0"),
+            (["--pilot", "-1"], "--pilot must be >= 1, got -1"),
+            (["--budget", "-5"], "--budget must be positive and finite, got -5.0"),
+            (["--budget", "nan"], "--budget must be positive and finite, got nan"),
+            (["--budget", "inf"], "--budget must be positive and finite, got inf"),
+        ],
+        ids=["seed-negative", "pilot-zero", "pilot-negative", "budget-negative",
+             "budget-nan", "budget-inf"],
+    )
+    def test_cli_oracle_rejects_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                flags, message):
+        import mfdist.cli
+
+        monkeypatch.setattr(mfdist.cli, "pilot_statistics", lambda *a: pytest.fail("drew"))
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"name": "ishigami-perfect"}))
+        argv = ["oracle", "--suite", str(suite_path), "--pilot", "100", *flags]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_cli_error_paths(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -31,42 +31,39 @@ def uniform_measure(*atoms) -> EmpiricalMeasure:
     return EmpiricalMeasure.from_samples(np.array(atoms, dtype=float))
 
 
+def repeated(rng, atoms, most=3) -> np.ndarray:
+    """Each atom repeated 1..most times: the uniform measure on the result
+    is the measure with the rational weights k/K on the distinct draws."""
+    return np.repeat(atoms, rng.integers(1, most + 1, size=np.size(atoms)))
+
+
 def random_measure(rng, max_atoms=12) -> EmpiricalMeasure:
     n = int(rng.integers(1, max_atoms + 1))
     atoms = np.sort(rng.normal(scale=3.0, size=n))
     if rng.random() < 0.5:
         return EmpiricalMeasure.from_samples(atoms)
-    w = rng.uniform(0.1, 1.0, size=n)
-    return EmpiricalMeasure(atoms, w / w.sum())
+    return EmpiricalMeasure.from_samples(repeated(rng, atoms))
 
 
 class TestConstruction:
     def test_from_samples_sorts_and_uniform_weights(self):
         m = EmpiricalMeasure.from_samples([3.0, 1.0, 2.0, 1.0])
         assert np.array_equal(m.atoms, [1.0, 1.0, 2.0, 3.0])
-        assert np.allclose(m.weights, 0.25)
+        assert np.array_equal(m._levels, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_equal_weights_store_levels_exactly_i_over_n(self):
         # a cumsum of 1/N drifts from i/N; the uniform law's levels do not,
         # so a sample and its k-fold repetition share every level they meet
         for n in (3, 10, 27, 1_000, 100_003):
             m = EmpiricalMeasure.from_samples(np.zeros(n))
-            assert m._uniform
             assert np.array_equal(m._levels, np.arange(n + 1) / n), n
             repeated = EmpiricalMeasure.from_samples(np.zeros(19 * n))
             assert np.array_equal(repeated._levels[::19], m._levels), n
-        weighted = EmpiricalMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
-        assert not weighted._uniform
 
     def test_levels_run_from_exactly_zero_to_exactly_one(self):
-        # a cumsum of these weights ends one ulp off 1; the stored levels
-        # still start at 0 and end at 1, so every u in (0, 1] finds an atom
-        weights = np.full(10, 0.1)
-        weights[0] += 2**-56
-        weights[1] -= 2**-56
-        assert np.cumsum(weights)[-1] != 1.0
-        atoms = np.arange(10.0)
-        for m in (EmpiricalMeasure(atoms, weights), EmpiricalMeasure.from_samples(atoms),
+        # the stored levels start at 0 and end at 1, so every u in (0, 1]
+        # finds an atom
+        for m in (EmpiricalMeasure.from_samples(np.arange(10.0)),
                   EmpiricalMeasure.from_samples(np.arange(100_003.0))):
             assert m._levels.size == m.size + 1
             assert m._levels[0] == 0.0 and m._levels[-1] == 1.0
@@ -75,30 +72,14 @@ class TestConstruction:
             assert sample_inverse_transform(m, 5e-324) == m.atoms[0]
             assert np.array_equal(sample_inverse_transform(m, m._levels[1:]), m.atoms)
 
-    def test_levels_stay_in_unit_interval_when_weights_overshoot(self):
-        # the weights sum to 1 + 5e-13, within tolerance, and the last one is
-        # smaller than the overshoot: the cumsum passes 1 before its end
-        m = EmpiricalMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.6, 0.4 + 5e-13, 1e-13]))
-        assert np.all(np.diff(m._levels) >= 0)
-        assert m._levels[0] == 0.0 and m._levels[-1] == 1.0
-        assert cdf_at(m, 1.5) == 1.0
-        j0, j1 = j_functionals(m)
-        assert j0 == pytest.approx(0.24) and j1 == pytest.approx(np.sqrt(0.24))
-
     def test_duplicates_are_retained(self):
         m = EmpiricalMeasure.from_samples([1.0, 1.0, 1.0])
         assert m.size == 3
-        assert wasserstein1(m, EmpiricalMeasure.point_mass(1.0)) == 0.0
+        assert wasserstein1(m, uniform_measure(1.0)) == 0.0
 
     def test_rejects_unsorted_atoms(self):
         with pytest.raises(ValueError, match="sorted"):
-            EmpiricalMeasure(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="positive"):
-            EmpiricalMeasure(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="sum"):
-            EmpiricalMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.6]))
+            EmpiricalMeasure(np.array([2.0, 1.0]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -162,7 +143,7 @@ class TestCdfAndQuantile:
 
 class TestWassersteinExamples:
     def test_point_masses(self):
-        assert wasserstein1(EmpiricalMeasure.point_mass(0.0), EmpiricalMeasure.point_mass(1.0)) == 1.0
+        assert wasserstein1(uniform_measure(0.0), uniform_measure(1.0)) == 1.0
 
     def test_identical(self):
         m = uniform_measure(0.3, 0.7, 2.0)
@@ -172,35 +153,34 @@ class TestWassersteinExamples:
         assert wasserstein1(uniform_measure(0.0, 1.0), uniform_measure(0.0, 2.0)) == 0.5
 
     def test_weighted_measures(self):
-        a = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-        b = EmpiricalMeasure.point_mass(1.0)
+        # weights 1/4 and 3/4 on 0 and 1
+        a = uniform_measure(0.0, 1.0, 1.0, 1.0)
+        b = uniform_measure(1.0)
         # 0.25 mass moved distance 1
         assert wasserstein1(a, b) == pytest.approx(0.25, abs=1e-15)
 
 
 def scipy_w1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    return wasserstein_distance(a.atoms, b.atoms, u_weights=a.weights, v_weights=b.weights)
+    return wasserstein_distance(a.atoms, b.atoms)
 
 
 class TestWassersteinUnequalSizes:
     """Differential checks of unequal sizes n < M, on every path.
 
-    Uniform pairs within the uniform path's size ratio take the integer
-    pieces; the others take the quantile-block path against the larger
-    measure's prefix sums.  Tolerances: against ``w1_quantile_grid`` (exact
-    up to roundoff on the merged cumulative-weight grid) rel 1e-12; against
+    Pairs within the uniform path's size ratio take the integer pieces; the
+    others take the quantile-block path against the larger measure's prefix
+    sums.  ``repeated`` pairs repeat each atom 1..3 times, which is a measure
+    with rational weights k/K, and shifts the size ratio by up to a factor 3.
+    Tolerances: against ``w1_quantile_grid`` (exact up to roundoff on the
+    merged level grid) rel 1e-12; against
     scipy rel 1e-10, because scipy's own cumulative weight sums leave up to
     2.5e-12 relative here.  Both are far below the 1e-3 relative error that
     uncentred prefix sums give on the offset case.
     """
 
     @staticmethod
-    def measure(rng, atoms, weighted):
-        atoms = np.sort(atoms)
-        if not weighted:
-            return EmpiricalMeasure.from_samples(atoms)
-        w = rng.uniform(0.1, 1.0, size=atoms.size)
-        return EmpiricalMeasure(atoms, w / w.sum())
+    def measure(rng, atoms, is_repeated):
+        return EmpiricalMeasure.from_samples(repeated(rng, atoms) if is_repeated else atoms)
 
     def check(self, a, b):
         got = wasserstein1(a, b)
@@ -211,48 +191,46 @@ class TestWassersteinUnequalSizes:
             assert got == pytest.approx(w1_quantile_grid(a, b), rel=1e-12, abs=0.0)
         return got
 
-    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("is_repeated", [False, True])
     @pytest.mark.parametrize(
         "n, ratio", [(1, 2), (3, 2), (5, 10), (7, 100), (10, 1000), (1, 100_000), (2, 100_000)]
     )
-    def test_size_ratios(self, n, ratio, weighted):
+    def test_size_ratios(self, n, ratio, is_repeated):
         rng = np.random.default_rng(1000 * n + ratio)
-        small = self.measure(rng, rng.standard_normal(n), weighted)
-        large = self.measure(rng, 0.3 + 1.5 * rng.standard_normal(n * ratio), weighted)
+        small = self.measure(rng, rng.standard_normal(n), is_repeated)
+        large = self.measure(rng, 0.3 + 1.5 * rng.standard_normal(n * ratio), is_repeated)
         self.check(small, large)
         self.check(large, small)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_shared_and_duplicate_atoms(self, weighted):
+    @pytest.mark.parametrize("is_repeated", [False, True])
+    def test_shared_and_duplicate_atoms(self, is_repeated):
         rng = np.random.default_rng(61)
         grid = np.array([-1.0, 0.0, 0.5, 2.0, 3.5])
         for _ in range(40):
             n = int(rng.integers(1, 8))
             m = n * int(rng.integers(2, 6)) + int(rng.integers(0, 3))
-            a = self.measure(rng, rng.choice(grid, size=n), weighted)
-            b = self.measure(rng, rng.choice(grid[1:4], size=m), weighted)
+            a = self.measure(rng, rng.choice(grid, size=n), is_repeated)
+            b = self.measure(rng, rng.choice(grid[1:4], size=m), is_repeated)
             self.check(a, b)
 
     def test_point_masses(self):
         rng = np.random.default_rng(62)
-        large = self.measure(rng, rng.standard_normal(5_000), weighted=True)
+        large = self.measure(rng, rng.standard_normal(5_000), is_repeated=True)
         for c in (-10.0, float(large.atoms[0]), 0.0, float(large.atoms[2_500]), 10.0):
-            got = self.check(EmpiricalMeasure.point_mass(c), large)
-            assert got == pytest.approx(
-                float(large.weights @ np.abs(large.atoms - c)), rel=1e-12
-            )
+            got = self.check(uniform_measure(c), large)
+            assert got == pytest.approx(float(np.mean(np.abs(large.atoms - c))), rel=1e-12)
         two = uniform_measure(0.0, 1.0)
-        assert wasserstein1(EmpiricalMeasure.point_mass(0.5), two) == 0.5
-        assert wasserstein1(EmpiricalMeasure.point_mass(0.0), two) == 0.5
+        assert wasserstein1(uniform_measure(0.5), two) == 0.5
+        assert wasserstein1(uniform_measure(0.0), two) == 0.5
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_large_offset_is_centred(self, weighted):
+    @pytest.mark.parametrize("is_repeated", [False, True])
+    def test_large_offset_is_centred(self, is_repeated):
         # |x| ~ 1e6 with a spread of 1e-3: uncentred prefix sums would lose
         # about 1e6 * eps per block, i.e. 1e-3 of the distance
         rng = np.random.default_rng(63)
         for n, m in ((1, 100_000), (10, 10_000), (50, 200)):
-            a = self.measure(rng, 1e6 + 1e-3 * rng.standard_normal(n), weighted)
-            b = self.measure(rng, 1e6 + 1e-3 * (0.5 + rng.standard_normal(m)), weighted)
+            a = self.measure(rng, 1e6 + 1e-3 * rng.standard_normal(n), is_repeated)
+            b = self.measure(rng, 1e6 + 1e-3 * (0.5 + rng.standard_normal(m)), is_repeated)
             self.check(a, b)
 
     def test_equal_laws_at_sizes_n_and_kn(self):
@@ -381,14 +359,14 @@ class TestWassersteinAgainstRationals:
         y = 0.3 + rng.standard_normal(100_000)
         large = EmpiricalMeasure.from_samples(y)
         for c in (-2.0, 0.0, 0.7, 3.0):
-            got = wasserstein1(EmpiricalMeasure.point_mass(c), large)
+            got = wasserstein1(uniform_measure(c), large)
             exact = w1_uniform_exact([c], y)
             assert abs(Fraction(got) - exact) <= 4 * np.finfo(np.float64).eps * exact, c
 
 
 class TestKolmogorov:
     def test_point_masses(self):
-        assert kolmogorov(EmpiricalMeasure.point_mass(0.0), EmpiricalMeasure.point_mass(1.0)) == 1.0
+        assert kolmogorov(uniform_measure(0.0), uniform_measure(1.0)) == 1.0
 
     def test_identical(self):
         m = uniform_measure(0.0, 1.0, 4.0)
@@ -400,20 +378,20 @@ class TestKolmogorov:
         assert kolmogorov(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_left_limit_matters(self):
-        # identical atom sets but different weights: the sup sits at a jump
-        a = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.9, 0.1]))
-        b = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.1, 0.9]))
+        # identical atom sets but different multiplicities (weights 0.9/0.1
+        # and 0.1/0.9): the sup sits at a jump
+        a = EmpiricalMeasure.from_samples(np.repeat([0.0, 1.0], [9, 1]))
+        b = EmpiricalMeasure.from_samples(np.repeat([0.0, 1.0], [1, 9]))
         assert kolmogorov(a, b) == pytest.approx(0.8, abs=1e-15)
 
     def test_matches_both_one_sided_limits(self):
-        # weighted measures on a few integers: many atoms tie within and
-        # across the two measures, so left limits differ from the values
+        # repeated draws of a few integers: many atoms tie within and across
+        # the two measures, so left limits differ from the values
         rng = np.random.default_rng(20261018)
 
         def tied_measure():
             n = int(rng.integers(1, 10))
-            w = rng.random(n) + 0.05
-            return EmpiricalMeasure(np.sort(rng.integers(-4, 5, size=n)).astype(float), w / w.sum())
+            return EmpiricalMeasure.from_samples(repeated(rng, rng.integers(-4, 5, size=n), most=5))
 
         for _ in range(2000):
             a, b = tied_measure(), tied_measure()
@@ -422,7 +400,7 @@ class TestKolmogorov:
 
 class TestJFunctionals:
     def test_point_mass_is_zero(self):
-        assert j_functionals(EmpiricalMeasure.point_mass(3.7)) == (0.0, 0.0)
+        assert j_functionals(uniform_measure(3.7)) == (0.0, 0.0)
 
     def test_two_atom_example(self):
         j0, j1 = j_functionals(uniform_measure(0.0, 1.0))
@@ -499,7 +477,7 @@ class TestMetricProperties:
         for b in (
             EmpiricalMeasure.from_samples(rng.random(500)),
             EmpiricalMeasure.from_samples(0.5 + 0.2 * rng.random(2_000)),
-            EmpiricalMeasure.point_mass(0.5),
+            uniform_measure(0.5),
         ):
             bound = 2.0 * np.sqrt(1.0 * wasserstein1(a, b))
             assert kolmogorov(a, b) <= 1.1 * bound
@@ -561,13 +539,14 @@ class TestMomentSummary:
         cases = [
             ("skewed", EmpiricalMeasure.from_samples(skewed), skewed),
             ("offset", EmpiricalMeasure.from_samples(offset), offset),
-            # integer weights k/K equal the uniform measure on k copies
-            ("weighted", EmpiricalMeasure(atoms, reps / reps.sum()), np.repeat(atoms, reps)),
+            # integer weights k/K: the uniform measure on k copies
+            ("weighted", EmpiricalMeasure.from_samples(np.repeat(atoms, reps)),
+             np.repeat(atoms, reps)),
         ]
         for name, m, expanded in cases:
             summary = moment_summary(m)
             got = (summary.mean, summary.variance, summary.skewness, summary.kurtosis)
-            ref = moments_float_powers(m.atoms, m.weights)
+            ref = moments_float_powers(m.atoms, np.full(m.size, 1.0 / m.size))
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
             # scipy centres at its own mean; at a 1e6 offset one ulp of the
             # mean (1.2e-10) moves the skewness by ~2e-7, so scipy takes the
@@ -604,4 +583,4 @@ class TestMomentSummary:
         with pytest.raises(InsufficientSampleError):
             moment_summary(uniform_measure(1.0, 2.0, 3.0))
         with pytest.raises(InsufficientSampleError):
-            moment_summary(EmpiricalMeasure.point_mass(0.0))
+            moment_summary(uniform_measure(0.0))

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import mfdist
@@ -20,6 +21,12 @@ def test_public_names_are_pinned_and_resolve():
     assert mfdist.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert callable(getattr(mfdist, name)), name
+
+
+def test_a_measure_is_built_from_atoms_only():
+    # one uniform form: weight 1/N per atom, repeated atoms for other weights
+    init = tuple(f.name for f in fields(mfdist.EmpiricalMeasure) if f.init)
+    assert init == ("atoms",)
 
 
 def test_only_measures_knows_the_level_format():
