@@ -286,7 +286,12 @@ def _replicate_seed(master: int, method_idx: int, budget_idx: int, replicate: in
 
 def build_oracle_measure(config: ExperimentConfig, suite: ModelSuite) -> EmpiricalMeasure:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0xFACE)))
-    y, _ = suite.draw(rng, config.oracle_samples, (0,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, _ = suite.draw(rng, config.oracle_samples, (0,))
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(
+            f"suite {suite.name!r}: the oracle draw holds values that are not finite"
+        )
     return EmpiricalMeasure.from_samples(y)
 
 

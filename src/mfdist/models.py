@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field, replace
@@ -102,9 +103,11 @@ class FeatureMap:
         if subset is not None:
             terms = [terms[c] for c in self.columns(subset)]
         Z = np.ones((x.shape[0], len(terms)))
+        # repeated products, not libm pow: x**3 costs ~30x (x*x)*x
         for col, mono in zip(Z.T, terms):
             for idx, power in mono:
-                col *= x[:, idx - 1] ** power
+                for _ in range(power):
+                    col *= x[:, idx - 1]
         return Z
 
 
@@ -232,6 +235,7 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
     # builds its two heads k s2^2 + s1 + t apart.  The chain stops at the last
     # output asked for, and swapping the operands of one add or multiply is
     # exact, so every request computes the joint draw's values bit for bit.
+    # A term with coefficient 0 is skipped, moving at most an exact zero's sign.
     perfect = variant == "perfect"
 
     def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
@@ -268,20 +272,22 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
             x[:, 1] = part
         if models[0] > 1:
             return None, x
-        np.sin(z[:, 3], out=term)
-        cube = np.multiply(term, term, out=s1)
-        cube *= term
-        cube *= c
-        part += cube
+        if c != 0.0:
+            np.sin(z[:, 3], out=term)
+            cube = np.multiply(term, term, out=s1)
+            cube *= term
+            cube *= c
+            part += cube
         if perfect and 1 in models:
             x[:, 0] = part
         if models[0] > 0:
             return None, x
-        np.sin(z[:, 4], out=term)
-        term *= term
-        term *= term
-        term *= d
-        part += term
+        if d != 0.0:
+            np.sin(z[:, 4], out=term)
+            term *= term
+            term *= term
+            term *= d
+            part += term
         return part, x
 
     return sample
@@ -311,6 +317,8 @@ def ishigami_suite(
         c = 1.0 if variant == "perfect" else 0.0
     if d is None:
         d = 0.1 if variant == "perfect" else 0.0
+    if not all(np.isfinite(v) for v in (a, b, c, d)):
+        raise ConfigError(f"Ishigami parameters must be finite, got a={a}, b={b}, c={c}, d={d}")
     return ModelSuite(
         name=f"ishigami-{variant}",
         cost_y=cost_y,
@@ -364,10 +372,11 @@ class SampleTable:
 
         numpy's C reader parses the rows.  A file it refuses, or might read
         otherwise, goes through the line loop, which parses every spelling
-        ``float()`` takes and names the line of the first malformed row.
-        A byte that is not UTF-8 is decoded as a lone surrogate, which no
-        row parses, so the first malformed row is found even when it lies
-        before the first such byte.
+        ``float()`` takes and names the line of the first malformed row; a
+        value that is not finite is malformed, and its column is named.  A
+        byte that is not UTF-8 is decoded as a lone surrogate, which no row
+        parses, so the first malformed row is found even when it lies before
+        the first such byte.
         """
         path = Path(path)
         cost_y, costs = _read_costs(costs_path)
@@ -385,6 +394,11 @@ class SampleTable:
                 )
             data = _loadtxt_rows(fh, path, n + 1)
         if data is not None:
+            finite = np.isfinite(data)
+            if not finite.all():  # loadtxt read one row per line, from line 2 on
+                row, col = np.argwhere(~finite)[0]
+                problem = _not_finite(expected_header[col], data[row, col])
+                raise _row_error(path, row + 2, [], problem)
             return cls(y=data[:, 0].copy(), x=data[:, 1:].copy(), cost_y=cost_y, costs=costs)
         y_rows: list[float] = []
         x_rows: list[list[float]] = []
@@ -397,6 +411,9 @@ class SampleTable:
                     if len(row) != n + 1:
                         raise ValueError(f"expected {n + 1} fields, got {len(row)}")
                     values = [float(v) for v in row]
+                    for name, value in zip(expected_header, values):
+                        if not math.isfinite(value):
+                            raise ValueError(_not_finite(name, value))
                     y_rows.append(values[0])
                     x_rows.append(values[1:])
             # csv.Error: e.g. a field over csv's size limit; line_num is the
@@ -498,6 +515,10 @@ def _row_error(path: Path, line: int, row: list[str], problem) -> TableParseErro
     if re.search("[\udc80-\udcff]", ",".join(row)):
         return TableParseError(not_utf8_message(path))
     return TableParseError(f"{path}: line {line}: {problem}")
+
+
+def _not_finite(column: str, value: float) -> str:
+    return f"column {column} is {value}, not a finite number"
 
 
 def _loadtxt_rows(fh, path: Path, width: int) -> np.ndarray | None:

@@ -20,9 +20,9 @@ from .errors import (
     InfeasibleExploitationError,
     PolicyError,
 )
-from .measures import EmpiricalMeasure, j_functionals
+from .measures import EmpiricalMeasure, _cdf_variation, _j1, j_functionals
 from .models import ModelSuite
-from .regress import FitResult, ols_fit, quantile_fit
+from .regress import FitResult, _ols, ols_fit, quantile_fit
 
 __all__ = [
     "PolicyState",
@@ -199,47 +199,10 @@ def start_exploration(
     return PolicyState(budget=budget, y_epr=y, x_epr=x, spent=cost)
 
 
-def _k1(fit: FitResult, dim: int) -> float:
+def _k1(fit: FitResult, dim: int, root_variation: np.ndarray) -> float:
     """Regression-error constant of a fit with dimension term sqrt(dim)."""
-    _, j1_eps = j_functionals(EmpiricalMeasure.from_samples(fit.residuals))
+    j1_eps = _j1(np.sort(fit.residuals), root_variation)
     return (2.0 * np.sqrt(dim) * np.sqrt(fit.sigma2_hat) + j1_eps) ** 2
-
-
-def _subset_score(
-    suite: ModelSuite,
-    subset: tuple[int, ...],
-    design: np.ndarray,
-    y: np.ndarray,
-    j1_y: float,
-    budget: float,
-) -> SubsetScore:
-    # a C-ordered copy, as FeatureMap.design(x, subset) returns: the strided
-    # gather would move the fit's low bits
-    Z = np.ascontiguousarray(design[:, suite.feature_map.columns(subset)])
-    t, cols = Z.shape
-    rank_ok, k1, k2, m_star, rho = False, np.nan, np.nan, np.nan, np.inf
-    if t > cols:
-        fit = ols_fit(Z, y)
-        rank_ok = fit.rank_ok
-        scale = max(1.0, float(np.max(np.abs(y))))
-        if float(np.max(np.abs(fit.residuals))) <= _ZERO_RESIDUAL_RTOL * scale:
-            k1 = 0.0
-        else:
-            # the online estimate inflates the dimension term by one column
-            k1 = _k1(fit, cols + 1)
-        k2 = suite.c_ept(subset) * j1_y**2
-    # a plain bool: k1 > 0.0 is a numpy bool, which the JSON trace rejects
-    eligible = bool(rank_ok and k1 > 0.0)
-    if eligible:
-        c_epr = suite.c_epr
-        m_star = optimal_exploration(k1, k2, budget, c_epr)
-        m_eval = max(m_star, float(t))
-        if m_eval < budget / c_epr:
-            rho = surrogate_loss(k1, k2, m_eval, budget, c_epr)
-    return SubsetScore(
-        subset=subset, rank_ok=rank_ok, k1_hat=k1, k2_hat=k2,
-        m_star_hat=m_star, rho=rho, eligible=eligible,
-    )
 
 
 def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
@@ -249,14 +212,41 @@ def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
     responses exactly (k1 = 0, so there is no exploration error left to
     balance) are marked ineligible and carry rho = inf.
     """
-    if state.t < suite.n + 2:
-        raise PolicyError(f"scoring requires t >= {suite.n + 2}, have t={state.t}")
-    _, j1_y = j_functionals(EmpiricalMeasure.from_samples(state.y_epr))
+    t, y, budget, c_epr = state.t, state.y_epr, state.budget, suite.c_epr
+    if t < suite.n + 2:
+        raise PolicyError(f"scoring requires t >= {suite.n + 2}, have t={t}")
     design = suite.feature_map.design(state.x_epr)
-    return [
-        _subset_score(suite, subset, design, state.y_epr, j1_y, state.budget)
-        for subset in suite.subsets()
-    ]
+    # one check serves every subset: each design is a column gather of this one
+    if not (np.isfinite(design).all() and np.isfinite(y).all()):
+        raise ValueError("design and response must be finite")
+    # y and every residual vector have t entries, so they share J1's weights
+    root_variation = np.sqrt(_cdf_variation(t))
+    j1_y = _j1(np.sort(y), root_variation)
+    scale = max(1.0, float(np.abs(y).max()))
+    scores = []
+    for subset in suite.subsets():
+        cols = suite.feature_map.columns(subset)
+        rank_ok, k1, k2, m_star, rho = False, np.nan, np.nan, np.nan, np.inf
+        if t > len(cols):
+            # a C-ordered copy, as FeatureMap.design(x, subset) returns: the
+            # strided gather would move the fit's low bits
+            fit = _ols(np.ascontiguousarray(design[:, cols]), y)
+            rank_ok = fit.rank_ok
+            if float(np.abs(fit.residuals).max()) <= _ZERO_RESIDUAL_RTOL * scale:
+                k1 = 0.0
+            else:
+                # the online estimate inflates the dimension term by one column
+                k1 = _k1(fit, len(cols) + 1, root_variation)
+            k2 = suite.c_ept(subset) * j1_y**2
+        # a plain bool: k1 > 0.0 is a numpy bool, which the JSON trace rejects
+        eligible = bool(rank_ok and k1 > 0.0)
+        if eligible:
+            m_star = optimal_exploration(k1, k2, budget, c_epr)
+            m_eval = max(m_star, float(t))
+            if m_eval < budget / c_epr:
+                rho = surrogate_loss(k1, k2, m_eval, budget, c_epr)
+        scores.append(SubsetScore(subset, rank_ok, k1, k2, m_star, rho, eligible))
+    return scores
 
 
 def _argmin_rho(scores: list[SubsetScore]) -> SubsetScore | None:
@@ -435,10 +425,11 @@ def pilot_statistics(
     k2: dict[tuple[int, ...], float] = {}
     sigma2: dict[tuple[int, ...], float] = {}
     design = suite.feature_map.design(x)
+    root_variation = np.sqrt(_cdf_variation(n_pilot))
     for subset in suite.subsets():
         Z = np.ascontiguousarray(design[:, suite.feature_map.columns(subset)])
         fit = ols_fit(Z, y)
-        k1[subset] = _k1(fit, Z.shape[1])
+        k1[subset] = _k1(fit, Z.shape[1], root_variation)
         k2[subset] = suite.c_ept(subset) * j1_y**2
         sigma2[subset] = fit.sigma2_hat
     return {"k1": k1, "k2": k2, "sigma2": sigma2, "j0_y": j0_y, "j1_y": j1_y}

@@ -78,18 +78,17 @@ def ols_fit(Z: np.ndarray, y: np.ndarray) -> FitResult:
     The rank test compares the smallest singular value against
     rows * machine-epsilon * largest singular value.
     """
-    Z, y = _check_design(Z, y)
+    return _ols(*_check_design(Z, y))
+
+
+def _ols(Z: np.ndarray, y: np.ndarray) -> FitResult:
+    """:func:`ols_fit` on a design and response that passed _check_design."""
     rows, cols = Z.shape
     rcond = rows * np.finfo(np.float64).eps
     beta, _, rank, _ = np.linalg.lstsq(Z, y, rcond=rcond)
     residuals = y - Z @ beta
     sigma2 = float(residuals @ residuals) / (rows - cols)
-    return FitResult(
-        beta_hat=beta,
-        residuals=residuals,
-        sigma2_hat=sigma2,
-        rank_ok=bool(rank == cols),
-    )
+    return FitResult(beta, residuals, sigma2, rank_ok=bool(rank == cols))
 
 
 def pinball_loss(x, tau: float):

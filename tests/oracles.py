@@ -188,6 +188,19 @@ def ishigami_terms_float_powers(z, variant, a, b, c, d) -> dict[int, list[np.nda
     }
 
 
+def ishigami_y_products(z, a, b, c, d) -> np.ndarray:
+    """Y of the Ishigami suites from the (size, 5) Unif(-pi, pi) draw ``z``,
+    with all four terms, a zero coefficient's included, each power a product
+    and the sum taken in the samplers' order:
+    a s2^2 + s1 + b (z3^2)^2 s1 + c s4^3 + d (s5^2)^2."""
+    s1, s2, s4, s5 = (np.sin(z[:, k]) for k in (0, 1, 3, 4))
+    z3sq = z[:, 2] * z[:, 2]
+    t1 = ((z3sq * z3sq) * b) * s1
+    t3 = ((s4 * s4) * s4) * c
+    t4 = ((s5 * s5) * (s5 * s5)) * d
+    return ((((s2 * s2) * a + s1) + t1) + t3) + t4
+
+
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Golden-section search for the minimizer of a unimodal function."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -358,8 +371,8 @@ def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a table CSV parsed one line and one ``float()`` at a time.
 
     The header is assumed checked.  Raises ``TableParseError`` with the
-    line-numbered messages of ``SampleTable.from_csv``; returns (y, x) with
-    x of shape (rows, n).
+    line-numbered messages of ``SampleTable.from_csv``, also for the first
+    value that is not finite; returns (y, x) with x of shape (rows, n).
     """
     import csv
 
@@ -379,6 +392,12 @@ def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None
+            for name, value in zip(["y"] + [f"x{i}" for i in range(1, n + 1)], values):
+                if not np.isfinite(value):
+                    raise TableParseError(
+                        f"{path}: line {reader.line_num}: column {name} is {value}, "
+                        "not a finite number"
+                    )
             y_rows.append(values[0])
             x_rows.append(values[1:])
     if not y_rows:

@@ -462,11 +462,15 @@ class TestOutputsAndCli:
             ({"suite": {"name": "ishigami-perfect", "costs": [0.05, "-inf"]}},
              "model costs must be positive and finite, got cost_y=1.0 and costs=[0.05, -inf]"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"suite": {"name": "ishigami-perfect", "a": "nan"}},
+             "Ishigami parameters must be finite, got a=nan, b=0.1, c=1.0, d=0.1"),
+            ({"suite": {"name": "ishigami-approx", "b": "inf"}},
+             "Ishigami parameters must be finite, got a=5.0, b=inf, c=0.0, d=0.0"),
         ],
         ids=["duplicate-methods", "fixed-m-below-minimum", "ishigami-path",
              "budgets-string", "fixed_subset-string", "suite-costs-string",
              "expansion-list", "expansion-int", "cost_y-inf", "cost_y-nan",
-             "costs-negative-inf", "negative-seed"],
+             "costs-negative-inf", "negative-seed", "ishigami-a-nan", "ishigami-b-inf"],
     )
     def test_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, edit, message):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
@@ -474,7 +478,7 @@ class TestOutputsAndCli:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_dict(config).build_suite()
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
         config = {
@@ -658,6 +662,44 @@ class TestOutputsAndCli:
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err == f"error: model costs must be positive and finite, got {costs}\n"
 
+    @pytest.mark.parametrize(
+        "line, column, value", [(3, "y", "nan"), (7, "x1", "inf")], ids=["y-nan", "x1-inf"]
+    )
+    def test_table_value_not_finite_rejected(
+        self, tmp_path, capsys, monkeypatch, line, column, value
+    ):
+        from mfdist.models import SampleTable
+
+        y, x = ishigami_suite("perfect").draw(np.random.default_rng(2), 20)
+        table_path, costs_path = tmp_path / "table.csv", tmp_path / "costs.json"
+        write_table(SampleTable(y=y, x=x, cost_y=1.0, costs=(0.05, 0.001)), table_path, costs_path)
+        lines = table_path.read_text().splitlines()
+        fields = lines[line - 1].split(",")
+        fields[["y", "x1", "x2"].index(column)] = value
+        lines[line - 1] = ",".join(fields)
+        table_path.write_text("\n".join(lines) + "\n")
+        config = {
+            "suite": {"name": "table", "path": str(table_path), "costs_path": str(costs_path)},
+            "methods": ["ecdf-y", "aetc-d"],
+            "budgets": [60.0],
+        }
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err == (
+            f"error: {table_path}: line {line}: column {column} is {value}, not a finite number\n"
+        )
+
+    def test_overflowing_oracle_draw_rejected(self, tmp_path, capsys, monkeypatch):
+        from mfdist.bench import build_oracle_measure
+
+        config = {"suite": {"name": "ishigami-perfect", "a": 1e308, "b": 1e308},
+                  "methods": ["ecdf-y"], "budgets": [300.0], "oracle_samples": 1000}
+        message = "suite 'ishigami-perfect': the oracle draw holds values that are not finite"
+        parsed = ExperimentConfig.from_dict(config)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_oracle_measure(parsed, parsed.build_suite())
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err == f"error: {message}\n"
+
     def test_non_integer_m_grid_rejected(self, tmp_path, capsys, monkeypatch):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
         err = self._rejected(
@@ -782,10 +824,10 @@ class TestGoldenOutputs:
                 "seed": 3,
             },
             (
-                "ac093590eafaebbd226d78fac849faf959ae470aee2eaeb4df2eeee960f3b7eb",
-                "63d46166a53ef9b59eb1f7a6cfa54220ed8816d679d8839300afa81aa7229f63",
+                "37ccd861f61943be73650c1946d7b500eace1ddf59796ee5b9ca91c2bab26310",
+                "2b1c3ba7d6d47aec12ba8a24333575fe0a531202341134b5b397299bb1d0281b",
             ),
-            "8da349079930be8e2d33787aaa004f6430d4bf393175b9d60de61c77e043e0ba",
+            "ec64310049e63b4e909eac3c395804e722da8a50eef534f83d87bbcdc56d8204",
             30, 30, {(1, 2)},
         ),
         # c = d = 0: every subset fits Y exactly (k1 = 0), so the policy

@@ -10,6 +10,8 @@ from mfdist.errors import InsufficientSampleError
 from mfdist.measures import (
     _UNIFORM_RATIO,
     EmpiricalMeasure,
+    _cdf_variation,
+    _j1,
     cdf_at,
     j_functionals,
     kolmogorov,
@@ -418,6 +420,21 @@ class TestJFunctionals:
         j0, j1 = j_functionals(m)
         assert j0 == pytest.approx(target0, rel=0.02)
         assert j1 == pytest.approx(target1, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "samples, j1",
+        [([0.0, 3.0], 1.5), ([3.0, 0.0], 1.5), ([0.0, 0.0, 1.0, 1.0], 0.5),
+         ([2.0, 2.0, 2.0], 0.0), ([5.0, 1.0, 1.0, 1.0], np.sqrt(3.0)),
+         ([-1.0, 4.0, 4.0, -1.0, 4.0], np.sqrt(6.0))],
+        ids=["two-atom", "two-atom-unsorted", "tied-halves", "all-tied", "tied-head",
+             "tied-mixed"],
+    )
+    def test_j1_helper_on_tied_and_two_atom_samples(self, samples, j1):
+        # F(1 - F) at the levels i/n, from the sample size alone, serves every
+        # sample of that size, ties included
+        helper = _j1(np.sort(samples), np.sqrt(_cdf_variation(len(samples))))
+        assert helper == j_functionals(EmpiricalMeasure.from_samples(samples))[1]
+        assert helper == pytest.approx(j1, rel=1e-15, abs=0.0)
 
     def test_j0_below_j1(self):
         rng = np.random.default_rng(6)

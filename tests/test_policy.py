@@ -1,15 +1,24 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from mfdist.errors import BudgetExhaustedError, InfeasibleExploitationError, PolicyError
-from mfdist.measures import EmpiricalMeasure, wasserstein1
-from mfdist.models import FeatureMap, ModelSuite, expanded_suite, ishigami_suite
+from mfdist.measures import EmpiricalMeasure, j_functionals, wasserstein1
+from mfdist.models import (
+    FeatureMap,
+    ModelSuite,
+    SampleTable,
+    expanded_suite,
+    ishigami_suite,
+    table_suite,
+)
 from mfdist.policy import (
     COMMITTED,
     EXPLORING,
+    PolicyState,
+    SubsetScore,
     _bootstrap_residuals,
     aetc_d_step,
     efficiency_ratio,
@@ -23,6 +32,7 @@ from mfdist.policy import (
     start_exploration,
     surrogate_loss,
 )
+from mfdist.regress import ols_fit
 
 from oracles import golden_section_min, with_intercept
 
@@ -185,6 +195,83 @@ class TestScoreSubsets:
             best = min(scores, key=lambda s: s.rho)
             wins += best.subset == (1,)
         assert wins >= 95
+
+
+def reference_scores(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
+    """score_subsets one subset at a time from the public functions: its own
+    design, ``ols_fit`` and a measure built from each residual vector."""
+    y, t, budget, c_epr = state.y_epr, state.t, state.budget, suite.c_epr
+    _, j1_y = j_functionals(EmpiricalMeasure.from_samples(y))
+    scores = []
+    for subset in suite.subsets():
+        Z = suite.feature_map.design(state.x_epr, subset)
+        rank_ok, k1, k2, m_star, rho = False, np.nan, np.nan, np.nan, np.inf
+        if t > Z.shape[1]:
+            fit = ols_fit(Z, y)
+            rank_ok = fit.rank_ok
+            if np.max(np.abs(fit.residuals)) <= 1e-10 * max(1.0, float(np.max(np.abs(y)))):
+                k1 = 0.0
+            else:
+                _, j1_eps = j_functionals(EmpiricalMeasure.from_samples(fit.residuals))
+                k1 = (2.0 * np.sqrt(Z.shape[1] + 1) * np.sqrt(fit.sigma2_hat) + j1_eps) ** 2
+            k2 = suite.c_ept(subset) * j1_y**2
+        eligible = bool(rank_ok and k1 > 0.0)
+        if eligible:
+            m_star = optimal_exploration(k1, k2, budget, c_epr)
+            if max(m_star, float(t)) < budget / c_epr:
+                rho = surrogate_loss(k1, k2, max(m_star, float(t)), budget, c_epr)
+        scores.append(SubsetScore(subset, rank_ok, k1, k2, m_star, rho, eligible))
+    return scores
+
+
+def _hetero_table_suite() -> ModelSuite:
+    # Y = X1 (1 + eta) on 500 rows: bootstrap draws repeat rows, so the
+    # responses and residuals hold ties
+    rng = np.random.default_rng(17)
+    x1 = rng.uniform(0.0, 2.0, 500)
+    table = SampleTable(y=x1 * (1.0 + rng.uniform(-1.0, 1.0, 500)), x=x1[:, None],
+                        cost_y=1.0, costs=(0.02,))
+    return table_suite(table)
+
+
+class TestScoresAgainstReference:
+    """Each round's one pass (one full design, one finiteness check, one J1
+    weight vector for y and every residual vector) gives every field of every
+    score bit for bit as the per-subset public functions do."""
+
+    SUITES = {
+        "ishigami-perfect": lambda: ishigami_suite("perfect"),
+        "ishigami-perfect-c0-d0": lambda: ishigami_suite("perfect", c=0.0, d=0.0),
+        "ishigami-approx-L": lambda: expanded_suite(ishigami_suite("approx"), "L"),
+        "ishigami-approx-quadratic-interactions": lambda: expanded_suite(
+            ishigami_suite("approx"), "quadratic-interactions"),
+        "table": _hetero_table_suite,
+    }
+
+    @pytest.mark.parametrize("rows", ["n+2", 37, 300])
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_bit_for_bit(self, name, rows):
+        suite = self.SUITES[name]()
+        t = suite.n + 2 if rows == "n+2" else rows
+        for seed in range(3):
+            y, x = suite.draw(np.random.default_rng(seed), t)
+            state = PolicyState(budget=1e4, y_epr=y, x_epr=x, spent=t * suite.c_epr)
+            got, want = score_subsets(state, suite), reference_scores(state, suite)
+            assert len(got) == len(want) == 2**suite.n - 1
+            for g, w in zip(got, want):
+                assert type(g.rank_ok) is bool and type(g.eligible) is bool
+                assert (g.subset, g.rank_ok, g.eligible) == (w.subset, w.rank_ok, w.eligible)
+                # k1, k2, m_star and rho, NaN and inf included
+                floats = np.array(astuple(g)[2:6]), np.array(astuple(w)[2:6])
+                assert floats[0].tobytes() == floats[1].tobytes(), (g, w)
+
+    def test_non_finite_design_rejected_once_per_round(self):
+        suite = ishigami_suite("perfect")
+        y, x = suite.draw(np.random.default_rng(0), 10)
+        x[3, 1] = np.inf
+        state = PolicyState(budget=1e4, y_epr=y, x_epr=x, spent=10 * suite.c_epr)
+        with pytest.raises(ValueError, match="design and response must be finite"):
+            score_subsets(state, suite)
 
 
 class TestScheduleArithmetic:
