@@ -171,12 +171,20 @@ class ExperimentConfig:
         return cls.from_dict(load_json_object(path))
 
     def build_suite(self) -> ModelSuite:
-        """The configured suite; ``fixed_subset`` must be one of its subsets."""
+        """The configured suite; ``fixed_subset`` must be one of its subsets,
+        and every draw the largest budget buys must fit an array's length."""
         suite = suite_from_config(self.suite_spec)
         if self.fixed_subset is not None and self.fixed_subset not in suite.subsets():
             raise ConfigError(
                 f"fixed_subset must list distinct model indices in 1..{suite.n} in "
                 f"increasing order, got {list(self.fixed_subset)}"
+            )
+        cheapest = min(suite.cost_y, *suite.costs)
+        draws = self.budgets[-1] / cheapest  # budgets increase
+        if draws >= np.iinfo(np.intp).max + 1:  # floor(draws) > max, exactly
+            raise ConfigError(
+                f"budget {self.budgets[-1]:g} buys up to {draws:.4g} draws at cost "
+                f"{cheapest:g}, more than an array can hold ({np.iinfo(np.intp).max})"
             )
         return suite
 

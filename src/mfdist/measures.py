@@ -57,7 +57,7 @@ class EmpiricalMeasure:
             raise ValueError("an empirical measure needs at least one atom")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
-        if np.any(np.diff(atoms) < 0):
+        if np.any(atoms[1:] < atoms[:-1]):
             raise ValueError("atoms must be sorted non-decreasing")
         # levels[i] = F(atoms[i - 1]) = i/N, with levels[0] = 0 and levels[-1] = 1
         levels = np.arange(atoms.size + 1.0)

@@ -44,6 +44,10 @@ __all__ = [
 # subset scoring enumerates 2^n - 1 candidates; past this it is a config error
 MAX_MODELS = 16
 
+# rows per block of a large draw or exploitation (measured best among powers
+# of two): one block's uniforms, scratch rows and design stay in L2 cache
+_BLOCK_ROWS = 8192
+
 # a monomial in the low-fidelity outputs: ((model_index, power), ...), 1-based
 Monomial = tuple[tuple[int, int], ...]
 
@@ -146,6 +150,11 @@ class ModelSuite:
     for y, NaN columns in x).  It must use the generator exactly as a joint
     draw does, whatever is asked, so a request returns the joint draw's
     columns bit for bit and leaves the stream where the joint draw would.
+    A sampler may work in row blocks only if the blocks consume the generator
+    exactly as one joint draw does: the Ishigami samplers do, because PCG64
+    spends one 64-bit output on each uniform double; the table sampler does
+    not, because ``rng.integers`` below 2**32 takes buffered 32-bit draws,
+    which split calls would shift.
     Draws across calls are iid continuations of the generator's stream.  A
     single generator must not be shared across threads; spawn independent
     streams per worker instead.
@@ -226,10 +235,14 @@ def _blank_unasked(x: np.ndarray, models: tuple[int, ...]) -> np.ndarray:
 
 
 def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> Sampler:
-    # Powers are products (z^4 = (z*z)^2, sin^3 = (s*s)*s), not libm pow, and
-    # every term is built in one of three reused buffers with in-place ufuncs,
-    # so a draw holds at most the uniforms, x and three rows of scratch.  Y is
-    # one chain of partial sums in s2sq's buffer,
+    # A draw runs in blocks of _BLOCK_ROWS rows, each drawing its own (rows, 5)
+    # uniforms.  PCG64 spends one 64-bit output on each uniform double and all
+    # later work is elementwise, so the blocks draw the one-shot draw's values
+    # bit for bit and leave the generator where it would.  Beside its output a
+    # draw holds three scratch rows and a block's uniforms (two while the next
+    # block's are drawn).  Powers are products (z^4 = (z*z)^2,
+    # sin^3 = (s*s)*s), not libm pow, built with in-place ufuncs.  Y is one
+    # chain of partial sums,
     #   Y = a s2^2 + s1 + b z3^4 s1 + c s4^3 + d s5^4,
     # which the perfect variant's X2 and X1 copy out of; the approx variant
     # builds its two heads k s2^2 + s1 + t apart.  The chain stops at the last
@@ -238,13 +251,11 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
     # A term with coefficient 0 is skipped, moving at most an exact zero's sign.
     perfect = variant == "perfect"
 
-    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
-        z = rng.uniform(-np.pi, np.pi, size=(size, 5))
-        x = _blank_unasked(np.empty((size, 2)), models) if models[-1] > 0 else None
-        s1 = np.sin(z[:, 0])
-        s2sq = np.sin(z[:, 1])
+    def block(z, scratch, y, x, models) -> None:
+        s1, s2sq, term = scratch
+        np.sin(z[:, 0], out=s1)
+        np.sin(z[:, 1], out=s2sq)
         s2sq *= s2sq
-        term = np.empty(size)
 
         def head(k: float, out: np.ndarray) -> np.ndarray:  # k s2^2 + s1 + term
             np.multiply(s2sq, k, out=out)
@@ -258,7 +269,7 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
             term *= s1
             head(0.6 * a, x[:, 1])
         if not perfect and models[0] > 1:
-            return None, x
+            return
         np.multiply(z[:, 2], z[:, 2], out=term)  # t = b z3^4 s1, in Y and approx's X1
         term *= term
         term *= b
@@ -266,12 +277,12 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
         if not perfect and 1 in models:
             head(0.95 * a, x[:, 0])
         if not perfect and models[0] > 0:
-            return None, x
-        part = head(a, s2sq)
+            return
+        part = head(a, s2sq if y is None else y)
         if perfect and 2 in models:
             x[:, 1] = part
         if models[0] > 1:
-            return None, x
+            return
         if c != 0.0:
             np.sin(z[:, 3], out=term)
             cube = np.multiply(term, term, out=s1)
@@ -281,14 +292,26 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
         if perfect and 1 in models:
             x[:, 0] = part
         if models[0] > 0:
-            return None, x
+            return
         if d != 0.0:
             np.sin(z[:, 4], out=term)
             term *= term
             term *= term
             term *= d
             part += term
-        return part, x
+
+    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
+        y = np.empty(size) if models[0] == 0 else None
+        x = _blank_unasked(np.empty((size, 2)), models) if models[-1] > 0 else None
+        scratch = np.empty((3, min(size, _BLOCK_ROWS)))
+        for start in range(0, size, _BLOCK_ROWS):
+            rows = slice(start, min(start + _BLOCK_ROWS, size))
+            z = rng.uniform(-np.pi, np.pi, size=(rows.stop - start, 5))
+            block(
+                z, scratch[:, :len(z)],
+                None if y is None else y[rows], None if x is None else x[rows], models,
+            )
+        return y, x
 
     return sample
 

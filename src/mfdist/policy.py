@@ -21,7 +21,7 @@ from .errors import (
     PolicyError,
 )
 from .measures import EmpiricalMeasure, _cdf_variation, _j1, j_functionals
-from .models import ModelSuite
+from .models import _BLOCK_ROWS, ModelSuite
 from .regress import FitResult, _ols, ols_fit, quantile_fit
 
 __all__ = [
@@ -371,15 +371,26 @@ def exploit(
     else:
         fit = ols_fit(Z, state.y_epr)
     # draw order is part of the determinism contract: surrogate inputs first,
-    # then the noise indices
+    # then the level or noise indices, each in one call
     _, x = suite.draw(rng, n_exploit, subset)
-    Z = suite.feature_map.design(x, subset)
     if variant == "quantile":
-        values = levels.predict(Z, rng.integers(0, k, size=n_exploit))
-    else:
-        values = Z @ fit.beta_hat
-        if variant == "standard":
-            values = values + _bootstrap_residuals(fit.residuals, n_exploit, rng)
+        level_idx = rng.integers(0, k, size=n_exploit)
+    # the design is built and applied a block of rows at a time, so it never
+    # holds all N rows, and each row's prediction is the one-shot product's;
+    # a lone last row joins the block before it, because numpy takes a
+    # one-row product as a dot, which rounds otherwise
+    values = np.empty(n_exploit)
+    start = 0
+    while start < n_exploit:
+        stop = n_exploit if n_exploit - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
+        Z = suite.feature_map.design(x[start:stop], subset)
+        if variant == "quantile":
+            values[start:stop] = levels.predict(Z, level_idx[start:stop])
+        else:
+            np.matmul(Z, fit.beta_hat, out=values[start:stop])
+        start = stop
+    if variant == "standard":
+        values += _bootstrap_residuals(fit.residuals, n_exploit, rng)
     state.spent += n_exploit * c_ept
     state.phase = EXHAUSTED
     return EmpiricalMeasure.from_samples(values)

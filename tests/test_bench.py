@@ -480,6 +480,28 @@ class TestOutputsAndCli:
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["ecdf-y", "aetc-d"])
+    def test_budget_past_array_length_rejected(self, tmp_path, capsys, monkeypatch, method):
+        # 1e20 buys 1e23 draws of the 0.001-cost model; unchecked, ecdf-y
+        # fails inside numpy and aetc-d doubles its exploration set until
+        # memory runs out
+        config = {"suite": {"name": "ishigami-approx"}, "methods": [method],
+                  "budgets": [1e20], "replicates": 1, "oracle_samples": 1000}
+        err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err.startswith("error: budget 1e+20 buys up to 1e+23 draws at cost 0.001, "
+                              "more than an array can hold")
+        assert err.count("\n") == 1
+
+    def test_budget_at_array_length_limit(self):
+        # unit costs: a budget B buys floor(B) draws, and an array holds at
+        # most intp max = limit - 1 of them
+        limit = float(np.iinfo(np.intp).max + 1)
+        config = {"suite": {"name": "ishigami-perfect", "cost_y": 1.0, "costs": [1.0, 1.0]},
+                  "methods": ["ecdf-y"]}
+        ExperimentConfig.from_dict({**config, "budgets": [np.nextafter(limit, 0.0)]}).build_suite()
+        with pytest.raises(ConfigError, match="more than an array can hold"):
+            ExperimentConfig.from_dict({**config, "budgets": [limit]}).build_suite()
+
     def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
         config = {
             "suite": {"name": "ishigami-perfect"},

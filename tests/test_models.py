@@ -244,24 +244,71 @@ class TestIshigamiProducts:
 
 
 class TestDrawMemory:
-    """A draw holds the (size, 5) uniforms, x and three scratch rows at most."""
+    """A draw holds its output plus one block of scratch: the block's
+    uniforms, the next block's while they are drawn, and three rows."""
 
     ROWS = 100_000
 
     @pytest.mark.parametrize("variant", ["perfect", "approx"])
-    def test_peak_is_at_most_ten_floats_a_row(self, variant):
+    def test_peak_is_the_output_plus_one_block(self, variant):
         suite = ishigami_suite(variant)
-        for models in [(0,)] + all_subsets(suite.n) + [(0, 1, 2)]:
+        allowance = 13 * 8 * models._BLOCK_ROWS + 64 * 1024
+        for asked in [(0,)] + all_subsets(suite.n) + [(0, 1, 2)]:
+            # Y is 1 float a row, x is 2 whatever surrogates are asked for
+            output = 8 * self.ROWS * ((0 in asked) + 2 * (asked[-1] > 0))
             rng = np.random.default_rng(0)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                suite.draw(rng, self.ROWS, models)
+                suite.draw(rng, self.ROWS, asked)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= 10 * 8 * self.ROWS + 64 * 1024, (models, peak / (8 * self.ROWS))
+            assert peak <= output + allowance, (asked, (peak - output) / 1024)
+
+
+class TestDrawBlocks:
+    """The Ishigami samplers draw in blocks of _BLOCK_ROWS rows; at and
+    around the block edges every request equals the four-term formula or the
+    one-block draw bit for bit and leaves the generator where one
+    (size, 5) uniform draw leaves it."""
+
+    B = models._BLOCK_ROWS
+    SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
+
+    # zero coefficients skip terms and negative ones flip signs: a block that
+    # reused a scratch row wrongly would show in one of them
+    @pytest.mark.parametrize(
+        "variant,a,b,c,d",
+        [
+            ("perfect", 5.0, 0.1, 1.0, 0.1),
+            ("approx", 5.0, 0.1, 0.0, 0.0),
+            ("perfect", -3.0, -0.2, 0.0, -0.3),
+            ("approx", -5.0, 0.0, 0.7, -0.3),
+            ("perfect", 5.0, 0.0, -2.0, 0.0),
+            ("approx", 5.0, -0.1, 0.0, 0.1),
+        ],
+    )
+    def test_block_edges(self, monkeypatch, variant, a, b, c, d):
+        suite = ishigami_suite(variant, a, b, c, d)
+        for size in self.SIZES:
+            reference = np.random.default_rng(size)
+            y_want = ishigami_y_products(
+                reference.uniform(-np.pi, np.pi, size=(size, 5)), a, b, c, d
+            )
+            after = reference.random(4)
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "_BLOCK_ROWS", size)  # the whole draw in one block
+                _, x_want = suite.draw(np.random.default_rng(size), size)
+            for asked in [(0,)] + all_subsets(suite.n) + [(0, 1, 2)]:
+                rng = np.random.default_rng(size)
+                y, x = suite.draw(rng, size, asked)
+                if 0 in asked:
+                    assert y.tobytes() == y_want.tobytes(), (size, asked)
+                for i in (m for m in asked if m > 0):
+                    assert x[:, i - 1].tobytes() == x_want[:, i - 1].tobytes(), (size, asked)
+                assert rng.random(4).tobytes() == after.tobytes(), (size, asked)
 
 
 class TestFeatureExpansion:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import stats
 from mfdist.errors import BudgetExhaustedError, InfeasibleExploitationError, PolicyError
 from mfdist.measures import EmpiricalMeasure, j_functionals, wasserstein1
 from mfdist.models import (
+    _BLOCK_ROWS,
     FeatureMap,
     ModelSuite,
     SampleTable,
@@ -16,6 +18,7 @@ from mfdist.models import (
 )
 from mfdist.policy import (
     COMMITTED,
+    QUANTILE_GRID_SIZE,
     EXPLORING,
     PolicyState,
     SubsetScore,
@@ -32,7 +35,7 @@ from mfdist.policy import (
     start_exploration,
     surrogate_loss,
 )
-from mfdist.regress import ols_fit
+from mfdist.regress import ols_fit, quantile_fit
 
 from oracles import golden_section_min, with_intercept
 
@@ -469,6 +472,87 @@ class TestExploit:
         est, state = run_aetc_d(suite, 200.0, np.random.default_rng(14), variant="quantile")
         assert est.size >= 1
         assert state.phase == "exhausted"
+
+
+def committed_state(suite: ModelSuite, subset: tuple[int, ...], n_exploit: int, seed: int) -> PolicyState:
+    """40 exploration rows and a budget that leaves exactly ``n_exploit``
+    exploitation rows of ``subset``."""
+    y_epr, x_epr = suite.draw(np.random.default_rng(seed), 40)
+    spent = 40 * suite.c_epr
+    return PolicyState(
+        budget=spent + (n_exploit + 0.5) * suite.c_ept(subset), y_epr=y_epr, x_epr=x_epr,
+        spent=spent, phase=COMMITTED, chosen=subset,
+    )
+
+
+def one_shot_exploit(
+    state: PolicyState, suite: ModelSuite, variant: str, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The sorted estimate of ``exploit`` from the whole (n, k) design at
+    once, drawing in exploit's order: the inputs, then the level or noise
+    indices."""
+    subset = state.chosen
+    Z = suite.feature_map.design(state.x_epr, subset)
+    _, x = suite.draw(rng, n, subset)
+    design = suite.feature_map.design(x, subset)
+    if variant == "quantile":
+        k = QUANTILE_GRID_SIZE
+        levels = quantile_fit(Z, state.y_epr, np.arange(1, k + 1) / (k + 1.0))
+        values = levels.predict(design, rng.integers(0, k, size=n))
+    else:
+        fit = ols_fit(Z, state.y_epr)
+        values = design @ fit.beta_hat
+        if variant == "standard":
+            values = values + fit.residuals[rng.integers(0, fit.residuals.size, size=n)]
+    return np.sort(values)
+
+
+class TestExploitBlocks:
+    """exploit builds and applies the design a block of _BLOCK_ROWS rows at a
+    time; at and around the block edges its estimate equals the one-shot
+    product byte for byte and leaves the generator where it does."""
+
+    B = _BLOCK_ROWS
+    SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
+
+    @pytest.mark.parametrize(
+        "suite",
+        [ishigami_suite("perfect"), expanded_suite(ishigami_suite("approx"), "L"),
+         _hetero_table_suite()],
+        ids=["ishigami-perfect", "ishigami-approx-L", "table"],
+    )
+    @pytest.mark.parametrize("variant", ["standard", "no-noise", "quantile"])
+    def test_block_edges(self, suite, variant):
+        subsets = suite.subsets()
+        for subset in dict.fromkeys([subsets[0], subsets[-1]]):
+            for size in self.SIZES:
+                state = committed_state(suite, subset, size, seed=5)
+                rng = np.random.default_rng(size)
+                estimate = exploit(state, suite, variant, rng=rng)
+                replay = np.random.default_rng(size)
+                want = one_shot_exploit(state, suite, variant, size, replay)
+                assert estimate.atoms.tobytes() == want.tobytes(), (subset, size)
+                assert rng.random(2).tobytes() == replay.random(2).tobytes(), (subset, size)
+
+
+class TestExploitMemory:
+    """exploit holds the drawn inputs (x, 2 floats a row), the predictions,
+    their sorted copy and the measure's levels, and the quantile variant its
+    level indices too; the design exists one block at a time."""
+
+    ROWS = 1 << 20
+
+    @pytest.mark.parametrize("variant, floats", [("standard", 5), ("no-noise", 5), ("quantile", 6)])
+    def test_peak_in_floats_a_row(self, variant, floats):
+        suite = expanded_suite(ishigami_suite("perfect"), "L")
+        state = committed_state(suite, (1, 2), self.ROWS, seed=6)
+        tracemalloc.start()
+        try:
+            exploit(state, suite, variant, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * self.ROWS * floats + (1 << 20), peak / (8 * self.ROWS)
 
 
 def recording_suite(suite: ModelSuite) -> tuple[ModelSuite, list]:
