@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -139,8 +140,12 @@ class ExperimentConfig:
             raise ConfigError("budgets must be strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.eval_samples < 1 or self.oracle_samples < 1:
-            raise ConfigError("sample counts must be >= 1")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        for key in ("eval_samples", "oracle_samples"):  # each is drawn as one float64 array
+            count = getattr(self, key)
+            if not 1 <= count <= memory // 8:
+                raise ConfigError(f"{key} must be >= 1 and fit in the {memory:.3g} bytes of "
+                                  f"physical memory as float64, got {count}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval not in ("sampled", "full"):

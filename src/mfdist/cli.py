@@ -37,6 +37,8 @@ from .policy import efficiency_ratio, optimal_exploration, oracle_optimum, pilot
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     flags = ("seed", "eval")
     return replace(config, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
 

@@ -39,14 +39,13 @@ class EmpiricalMeasure:
 
     ``atoms`` must be sorted non-decreasing and finite.  Duplicate atoms are
     retained and carry their multiplicity, so a measure with rational weights
-    k/K is the measure on its atoms repeated k times.  The cumulative levels
-    are exactly i/N (correctly rounded), so a sample and its k-fold
-    repetition are the same measure.  Instances are immutable (the arrays
-    are frozen) and safe to share across threads.
+    k/K is the measure on its atoms repeated k times.  Levels are not stored:
+    each reader computes the i/N it needs, correctly rounded, so a sample and
+    its k-fold repetition are the same measure.  Instances are immutable
+    (``atoms`` is frozen) and safe to share across threads.
     """
 
     atoms: np.ndarray
-    _levels: np.ndarray = field(init=False, repr=False)
     _prefix: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -59,12 +58,8 @@ class EmpiricalMeasure:
             raise ValueError("atoms must be finite")
         if np.any(atoms[1:] < atoms[:-1]):
             raise ValueError("atoms must be sorted non-decreasing")
-        # levels[i] = F(atoms[i - 1]) = i/N, with levels[0] = 0 and levels[-1] = 1
-        levels = np.arange(atoms.size + 1.0)
-        levels /= atoms.size
-        for name, array in (("atoms", atoms), ("_levels", levels)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        atoms.flags.writeable = False
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalMeasure":
@@ -76,9 +71,9 @@ class EmpiricalMeasure:
         return int(self.atoms.size)
 
     def _prefix_sums(self) -> tuple[float, np.ndarray]:
-        """(shift, [0, cumsum((atoms - shift) / N)]), indexed like ``_levels``.
+        """(shift, [0, cumsum((atoms - shift) / N)]); entry k integrates Q - shift to k/N.
 
-        Built on first use and frozen like ``_levels``.  ``shift`` is the mean,
+        Built on first use and frozen like ``atoms``.  ``shift`` is the mean,
         so the second prefix sum stays of the order of the spread instead of
         cancelling at the order of the atoms; it is accumulated in extended
         precision and rounded once, so its error does not grow with the size.
@@ -117,14 +112,20 @@ class MomentSummary:
     kurtosis: float
 
 
-def cdf_at(m: EmpiricalMeasure, x: float) -> float:
-    """Right-continuous CDF value: the share of atoms <= x."""
-    return float(_cdf_on_grid(m, x))
+def cdf_at(m: EmpiricalMeasure, x):
+    """Right-continuous CDF F(x), the share of atoms <= x: a float, or an array for an array x."""
+    cdf = np.searchsorted(m.atoms, x, side="right") / m.size
+    return float(cdf) if np.ndim(cdf) == 0 else cdf
 
 
-def _cdf_on_grid(m: EmpiricalMeasure, grid: np.ndarray) -> np.ndarray:
-    """Right-continuous CDF values F(x) at every point x of ``grid``."""
-    return m._levels[np.searchsorted(m.atoms, grid, side="right")]
+def _rank(n: int, u):
+    """Least j with j/n >= u in floats: for u in [0, 1], the index that
+    ``np.searchsorted`` (side "left") finds for u among the levels i/n.
+    ceil(u * n) is at most one off, as the product rounds."""
+    j = np.ceil(u * n)
+    j -= (j - 1.0) / n >= u
+    j += j / n < u
+    return j.astype(np.intp)
 
 
 def _w1_uniform(small: EmpiricalMeasure, large: EmpiricalMeasure) -> float:
@@ -160,26 +161,26 @@ def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     Two measures whose sizes differ by at most a factor 16 integrate
     |Q_a - Q_b| over integer-length quantile pieces, in O(n + M) arithmetic.
     Otherwise the distance is integrated over the smaller measure's blocks
-    (lo, hi] of constant quantile x: the larger measure's quantile crosses x
-    once, at u* = clip(F(x), lo, hi), and both one-signed pieces come from
-    its cached prefix sums.  That costs O(n log M) with n < M and sorts
-    nothing.  No sampling, no approximation.
+    ((i-1)/n, i/n] of constant quantile x: the larger measure's quantile
+    crosses x once, at u* = clip(F(x), lo, hi), and both one-signed pieces
+    come from its cached prefix sums.  That costs O(n log M) with n < M and
+    sorts nothing.  No sampling, no approximation.
     """
     small, large = (a, b) if a.size <= b.size else (b, a)
     if large.size <= _UNIFORM_RATIO * small.size:
         return _w1_uniform(small, large)
     shift, integral = large._prefix_sums()
-    levels = large._levels
 
     def integral_to(u: np.ndarray) -> np.ndarray:
         # integral of Q_large - shift over (0, u]; piecewise linear in u
-        k = np.clip(np.searchsorted(levels, u, side="left") - 1, 0, large.size - 1)
-        return integral[k] + (u - levels[k]) * (large.atoms[k] - shift)
+        k = np.clip(_rank(large.size, u) - 1, 0, large.size - 1)
+        return integral[k] + (u - k / large.size) * (large.atoms[k] - shift)
 
     x = small.atoms - shift
-    lo, hi = small._levels[:-1], small._levels[1:]
-    cross = np.clip(_cdf_on_grid(large, small.atoms), lo, hi)
-    at_edges, at_cross = integral_to(small._levels), integral_to(cross)
+    edges = np.arange(small.size + 1.0) / small.size
+    lo, hi = edges[:-1], edges[1:]
+    cross = np.clip(cdf_at(large, small.atoms), lo, hi)
+    at_edges, at_cross = integral_to(edges), integral_to(cross)
     below = x * (cross - lo) - (at_cross - at_edges[:-1])
     above = (at_edges[1:] - at_cross) - x * (hi - cross)
     # each piece is non-negative exactly; clamp the roundoff of the differences
@@ -194,7 +195,7 @@ def kolmogorov(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     and the sup is reached at an atom.
     """
     merged = np.concatenate([a.atoms, b.atoms])
-    return float(np.abs(_cdf_on_grid(a, merged) - _cdf_on_grid(b, merged)).max())
+    return float(np.abs(cdf_at(a, merged) - cdf_at(b, merged)).max())
 
 
 def j_functionals(m: EmpiricalMeasure) -> tuple[float, float]:
@@ -261,7 +262,7 @@ def moment_summary(m: EmpiricalMeasure) -> MomentSummary:
 
 def sample_inverse_transform(m: EmpiricalMeasure, u):
     """Inverse-transform sampling: evaluate the quantile function at u, the
-    smallest atom whose CDF value reaches u (left-continuous in u).
+    smallest atom whose CDF value j/N reaches u (left-continuous in u).
 
     Accepts a scalar in (0, 1] or an array of such values; feeding uniform
     draws reproduces the measure in distribution.  NaN is rejected.
@@ -269,6 +270,6 @@ def sample_inverse_transform(m: EmpiricalMeasure, u):
     u_arr = np.asarray(u, dtype=np.float64)
     if not np.all((u_arr > 0.0) & (u_arr <= 1.0)):
         raise ValueError(f"quantile levels must lie in (0, 1], got {u!r}")
-    # levels[0] = 0 < u <= 1 = levels[-1], so the index lands in [0, N - 1]
-    out = m.atoms[np.searchsorted(m._levels, u_arr, side="left") - 1]
+    # 0 < u <= 1, so the rank lands in [1, N]
+    out = m.atoms[_rank(m.size, u_arr) - 1]
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out

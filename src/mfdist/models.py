@@ -61,10 +61,7 @@ def all_subsets(n: int) -> list[tuple[int, ...]]:
 
     This is the canonical scoring/tie-break order used by the policy.
     """
-    out: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(1, n + 1), size))
-    return out
+    return [s for size in range(1, n + 1) for s in combinations(range(1, n + 1), size)]
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,7 @@ class FeatureMap:
 
 def cubic_expansion(n: int) -> FeatureMap:
     """Adds squares and cubes of every surrogate (the enlarged feature span)."""
-    extra: list[Monomial] = []
-    for i in range(1, n + 1):
-        extra.append(((i, 2),))
-        extra.append(((i, 3),))
-    return FeatureMap(n=n, extra=tuple(extra))
+    return FeatureMap(n=n, extra=tuple(((i, p),) for i in range(1, n + 1) for p in (2, 3)))
 
 
 def quadratic_interaction_expansion(n: int) -> FeatureMap:

@@ -250,11 +250,8 @@ def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
 
 
 def _argmin_rho(scores: list[SubsetScore]) -> SubsetScore | None:
-    best = None
-    for score in scores:  # scores come ordered by (cardinality, lex): ties keep first
-        if score.eligible and (best is None or score.rho < best.rho):
-            best = score
-    return best
+    # scores come ordered by (cardinality, lex), and min keeps the first of ties
+    return min((s for s in scores if s.eligible), key=lambda s: s.rho, default=None)
 
 
 def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator) -> PolicyState:

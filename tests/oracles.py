@@ -32,12 +32,12 @@ def w1_bruteforce_assignment(a, b) -> float:
 def w1_quantile_grid(measure_a, measure_b) -> float:
     """Quantile-representation integral on the merged grid of levels i/N.
 
-    The grid is the measures' own stored levels, so each piece's quantiles
-    are looked up on the levels that define them.
+    The grid is both measures' levels i/N, built here from their sizes, so
+    each piece's quantiles are looked up on the levels that define them.
     """
     from mfdist.measures import sample_inverse_transform
 
-    grid = np.union1d(measure_a._levels, measure_b._levels)
+    grid = np.union1d(*(np.arange(m.size + 1.0) / m.size for m in (measure_a, measure_b)))
     total = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
         if hi <= lo:
@@ -73,13 +73,14 @@ def kolmogorov_bruteforce(measure_a, measure_b) -> float:
 
     At each atom x of either measure, F(x) and F(x-) of each measure come
     from their own ``searchsorted`` calls (right and left) on the measure's
-    atoms, read off its levels; the sup is the largest gap of either kind.
+    atoms, as the count of atoms below over N; the sup is the largest gap of
+    either kind.
     """
     grid = np.concatenate([measure_a.atoms, measure_b.atoms])
     gaps = []
     for side in ("right", "left"):
         values = [
-            m._levels[np.searchsorted(m.atoms, grid, side=side)]
+            np.searchsorted(m.atoms, grid, side=side) / m.size
             for m in (measure_a, measure_b)
         ]
         gaps.append(np.abs(values[0] - values[1]).max())

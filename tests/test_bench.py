@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,6 +503,50 @@ class TestOutputsAndCli:
         ExperimentConfig.from_dict({**config, "budgets": [np.nextafter(limit, 0.0)]}).build_suite()
         with pytest.raises(ConfigError, match="more than an array can hold"):
             ExperimentConfig.from_dict({**config, "budgets": [limit]}).build_suite()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "--threads", "0"),
+         ("fixed-m", "--m-grid", "20", "--subset", "1", "--threads", "-3"),
+         ("stats", "--threads", "0")],
+        ids=["run", "fixed-m", "stats"],
+    )
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        # unchecked, each ran serially and exited 0
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
+                  "budgets": [300.0], "replicates": 1, "oracle_samples": 1000}
+        err = self._rejected(tmp_path, capsys, monkeypatch, config, *argv)
+        assert err == f"error: --threads must be >= 1, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("key", ["eval_samples", "oracle_samples"])
+    def test_sample_count_past_memory_rejected(self, tmp_path, capsys, monkeypatch, key):
+        # 10**12 float64 samples are 8 TB; unchecked, the oracle build or
+        # each cell's evaluation asks numpy for all of them at once
+        import mfdist.bench
+
+        monkeypatch.setattr(mfdist.bench, "build_oracle_measure",
+                            lambda *a: pytest.fail("the oracle was built"))
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
+                  "budgets": [300.0], "replicates": 1, key: 10**12}
+        tracemalloc.start()
+        try:
+            err = self._rejected(tmp_path, capsys, monkeypatch, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.startswith(f"error: {key} must be >= 1 and fit in the ")
+        assert err.endswith(f"bytes of physical memory as float64, got {10**12}\n")
+        assert err.count("\n") == 1
+        assert peak < 2**20, peak
+
+    def test_sample_count_limit_is_physical_memory(self):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
+        for key in ("eval_samples", "oracle_samples"):
+            ExperimentConfig.from_dict({**config, key: memory // 8})  # builds no array
+            for count in (0, memory // 8 + 1):
+                with pytest.raises(ConfigError, match=f"{key} must be >= 1 and fit in the "):
+                    ExperimentConfig.from_dict({**config, key: count})
 
     def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
         config = {

@@ -12,6 +12,7 @@ from mfdist.measures import (
     EmpiricalMeasure,
     _cdf_variation,
     _j1,
+    _rank,
     cdf_at,
     j_functionals,
     kolmogorov,
@@ -51,28 +52,30 @@ class TestConstruction:
     def test_from_samples_sorts_and_uniform_weights(self):
         m = EmpiricalMeasure.from_samples([3.0, 1.0, 2.0, 1.0])
         assert np.array_equal(m.atoms, [1.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(m._levels, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(cdf_at(m, [0.0, 1.0, 2.0, 3.0]), [0.0, 0.5, 0.75, 1.0])
 
-    def test_equal_weights_store_levels_exactly_i_over_n(self):
+    def test_equal_weights_give_cdf_exactly_i_over_n(self):
         # a cumsum of 1/N drifts from i/N; the uniform law's levels do not,
         # so a sample and its k-fold repetition share every level they meet
         for n in (3, 10, 27, 1_000, 100_003):
-            m = EmpiricalMeasure.from_samples(np.zeros(n))
-            assert np.array_equal(m._levels, np.arange(n + 1) / n), n
-            repeated = EmpiricalMeasure.from_samples(np.zeros(19 * n))
-            assert np.array_equal(repeated._levels[::19], m._levels), n
+            m = EmpiricalMeasure.from_samples(np.arange(n, dtype=float))
+            # Python's int / int is the correctly rounded quotient
+            assert np.array_equal(cdf_at(m, m.atoms), [i / n for i in range(1, n + 1)]), n
+            repeated = EmpiricalMeasure.from_samples(np.repeat(m.atoms, 19))
+            assert np.array_equal(cdf_at(repeated, m.atoms), cdf_at(m, m.atoms)), n
 
-    def test_levels_run_from_exactly_zero_to_exactly_one(self):
-        # the stored levels start at 0 and end at 1, so every u in (0, 1]
-        # finds an atom
+    def test_cdf_runs_from_exactly_zero_to_exactly_one(self):
+        # the levels start at 0 and end at 1, so every u in (0, 1] finds an
+        # atom, and the level i/N finds atom i
         for m in (EmpiricalMeasure.from_samples(np.arange(10.0)),
                   EmpiricalMeasure.from_samples(np.arange(100_003.0))):
-            assert m._levels.size == m.size + 1
-            assert m._levels[0] == 0.0 and m._levels[-1] == 1.0
-            assert np.all(np.diff(m._levels) > 0)
+            levels = cdf_at(m, m.atoms)
+            assert cdf_at(m, m.atoms[0] - 1.0) == 0.0 and levels[-1] == 1.0
+            assert np.all(np.diff(levels) > 0)
             assert sample_inverse_transform(m, 1.0) == m.atoms[-1]
             assert sample_inverse_transform(m, 5e-324) == m.atoms[0]
-            assert np.array_equal(sample_inverse_transform(m, m._levels[1:]), m.atoms)
+            n = m.size
+            assert np.array_equal(sample_inverse_transform(m, np.arange(1, n + 1) / n), m.atoms)
 
     def test_duplicates_are_retained(self):
         m = EmpiricalMeasure.from_samples([1.0, 1.0, 1.0])
@@ -108,6 +111,16 @@ class TestCdfAndQuantile:
         assert cdf_at(m, 1.0) == 1.0
         assert cdf_at(m, 1.0 - 1e-12) == 0.5
 
+    def test_cdf_takes_a_scalar_or_an_array(self):
+        m = uniform_measure(0.0, 1.0, 1.0, 3.0)
+        for x in (1.0, np.float64(1.0), np.array(1.0)):
+            got = cdf_at(m, x)
+            assert type(got) is float and got == 0.75
+        got = cdf_at(m, np.array([[-1.0, 1.0], [2.5, 3.0]]))
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, [[0.0, 0.75], [0.75, 1.0]])
+        assert np.array_equal(cdf_at(m, [0.0]), [0.25])
+
     def test_quantile_examples(self):
         two = uniform_measure(0.0, 1.0)
         assert sample_inverse_transform(two, 0.5) == 0.0
@@ -141,6 +154,45 @@ class TestCdfAndQuantile:
         assert counts[-1.0] == pytest.approx(0.25, abs=0.01)
         assert counts[0.0] == pytest.approx(0.25, abs=0.01)
         assert counts[2.0] == pytest.approx(0.5, abs=0.01)
+
+
+class TestRank:
+    """``_rank(n, u)`` is the index ``np.searchsorted`` finds for u among
+    the explicit levels i/n, side "left", on the inputs where a rounded
+    ceil(u * n) is most likely off: every level i/n and both of its float
+    neighbours, and uniform draws, at small sizes, at sizes around 10^3 and
+    2^20, and at the sizes of the 1e6-atom oracle and of large estimates."""
+
+    SLICE = 1 << 18
+
+    def check(self, n, u):
+        levels = np.arange(n + 1.0) / n
+        for start in range(0, u.size, self.SLICE):
+            part = u[start:start + self.SLICE]
+            want = np.searchsorted(levels, part, side="left")
+            got = _rank(n, part)
+            assert got.dtype == np.intp
+            bad = np.flatnonzero(got != want)
+            assert bad.size == 0, (n, part[bad[:3]], got[bad[:3]], want[bad[:3]])
+
+    @pytest.mark.parametrize(
+        "sizes", [range(1, 300), (999, 1000, 1001), ((1 << 20) - 1, 1 << 20),
+                  (1_000_000, 1_577_960, 3_000_017)],
+        ids=["1-299", "1000", "2^20", "large"],
+    )
+    def test_matches_searchsorted_on_i_over_n(self, sizes):
+        rng = np.random.default_rng(91)
+        for n in sizes:
+            self.check(n, rng.random(2_000))
+            levels = np.arange(n + 1.0) / n
+            self.check(n, levels)
+            self.check(n, np.nextafter(levels[1:], 0.0))  # just below each i/n, i >= 1
+            self.check(n, np.nextafter(levels[:-1], 1.0))  # just above each i/n, i < n
+
+    def test_scalar_and_ends(self):
+        for n in (1, 7, 1_000_000):
+            assert _rank(n, 0.0) == 0 and _rank(n, 1.0) == n
+            assert _rank(n, 5e-324) == 1 and _rank(n, np.nextafter(1.0, 0.0)) == n
 
 
 class TestWassersteinExamples:
@@ -272,7 +324,7 @@ class TestWassersteinUnequalSizes:
         with pytest.raises(ValueError):
             integral[0] = 1.0
         with pytest.raises(ValueError):
-            large._levels[0] = 1.0
+            large.atoms[0] = 1.0
 
     def test_prefix_holds_only_the_integral(self):
         # the cached prefix of a 1e6-atom measure is its centred integral,

@@ -30,7 +30,8 @@ def test_a_measure_is_built_from_atoms_only():
 
 
 def test_only_measures_knows_the_level_format():
-    # the stored levels, prefix sums and uniform flag are private to one module
+    # the cached prefix sums are private to one module, and the stored levels
+    # and uniform flag, both deleted, must not come back elsewhere
     private = re.compile(r"\b_(?:levels|prefix|uniform)\w*")
     package = Path(mfdist.__file__).parent
     for module in sorted(package.glob("*.py")):

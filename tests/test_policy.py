@@ -536,14 +536,23 @@ class TestExploitBlocks:
 
 
 class TestExploitMemory:
-    """exploit holds the drawn inputs (x, 2 floats a row), the predictions,
-    their sorted copy and the measure's levels, and the quantile variant its
-    level indices too; the design exists one block at a time."""
+    """exploit holds the drawn inputs (x, 2 floats a row), the predictions
+    and their sorted copy, and the quantile variant its level indices too;
+    the measure stores no levels.  ``standard`` peaks at its bootstrap
+    gather instead (indices and residuals beside x and the predictions).
+    The design exists one block at a time.  The slack covers the last
+    block's design (0.44 MiB) and, where the peak is the measure's
+    construction, its finiteness and order checks (one byte a row each, in
+    turn)."""
 
     ROWS = 1 << 20
 
-    @pytest.mark.parametrize("variant, floats", [("standard", 5), ("no-noise", 5), ("quantile", 6)])
-    def test_peak_in_floats_a_row(self, variant, floats):
+    @pytest.mark.parametrize(
+        "variant, floats, slack_mib",
+        [("standard", 5, 1), ("no-noise", 4, 2), ("quantile", 5, 2)],
+        ids=["standard-5", "no-noise-4", "quantile-5"],
+    )
+    def test_peak_in_floats_a_row(self, variant, floats, slack_mib):
         suite = expanded_suite(ishigami_suite("perfect"), "L")
         state = committed_state(suite, (1, 2), self.ROWS, seed=6)
         tracemalloc.start()
@@ -552,7 +561,7 @@ class TestExploitMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * self.ROWS * floats + (1 << 20), peak / (8 * self.ROWS)
+        assert peak <= 8 * self.ROWS * floats + slack_mib * 2**20, peak / (8 * self.ROWS)
 
 
 def recording_suite(suite: ModelSuite) -> tuple[ModelSuite, list]:
