@@ -22,7 +22,6 @@ from .measures import (
     MomentSummary,
     cdf_at,
     j_functionals,
-    kolmogorov,
     moment_summary,
     sample_inverse_transform,
     wasserstein1,
@@ -54,7 +53,6 @@ from .regress import (
     FitResult,
     QuantileFit,
     ols_fit,
-    pinball_loss,
     quantile_fit,
 )
 

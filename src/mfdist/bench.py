@@ -34,8 +34,8 @@ from .measures import (
     sample_inverse_transform,
     wasserstein1,
 )
-from .models import ModelSuite, json_array, load_json_object, suite_from_config
-from .policy import COMMITTED, PolicyState, exploit, run_aetc_d
+from .models import ModelSuite, _finite_draw, json_array, load_json_object, suite_from_config
+from .policy import COMMITTED, PolicyState, _affordable, exploit, run_aetc_d
 
 __all__ = [
     "ExperimentConfig",
@@ -232,7 +232,7 @@ RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.repr]
 
 def run_ecdf_y(suite: ModelSuite, budget: float, rng: np.random.Generator) -> EmpiricalMeasure:
     """Single-fidelity baseline: spend the whole budget on direct draws of Y."""
-    n = int(np.floor(budget / suite.cost_y))
+    n = _affordable(budget, 0.0, suite.cost_y)
     if n < 1:
         raise BudgetExhaustedError(
             f"budget {budget} cannot afford one high-fidelity sample at {suite.cost_y}"
@@ -299,12 +299,7 @@ def _replicate_seed(master: int, method_idx: int, budget_idx: int, replicate: in
 
 def build_oracle_measure(config: ExperimentConfig, suite: ModelSuite) -> EmpiricalMeasure:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0xFACE)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, _ = suite.draw(rng, config.oracle_samples, (0,))
-    if not np.all(np.isfinite(y)):
-        raise ConfigError(
-            f"suite {suite.name!r}: the oracle draw holds values that are not finite"
-        )
+    y, _ = _finite_draw(suite, rng, config.oracle_samples, "oracle", (0,))
     return EmpiricalMeasure.from_samples(y)
 
 

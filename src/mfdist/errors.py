@@ -18,7 +18,7 @@ class InsufficientSampleError(MfdistError, ValueError):
 
 
 class QuantileSolverError(MfdistError, RuntimeError):
-    """The quantile-regression solver failed to converge or returned an invalid status."""
+    """The quantile basis walk exceeded its pivot cap or found the objective unbounded."""
 
 
 class TableParseError(MfdistError, ValueError):

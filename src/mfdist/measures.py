@@ -1,9 +1,9 @@
 """One-dimensional empirical measures and the metrics computed on them.
 
 An :class:`EmpiricalMeasure` is the uniform law on a finite, sorted sample of
-real atoms, weight 1/N per atom.  All distances (1-Wasserstein, Kolmogorov)
-and the CDF-variation integrals used by the budget-allocation policy are
-computed exactly from the piecewise-constant CDF; nothing here is estimated
+real atoms, weight 1/N per atom.  The 1-Wasserstein distance and the
+CDF-variation integrals used by the budget-allocation policy are computed
+exactly from the piecewise-constant CDF; nothing here is estimated
 by sampling.
 """
 
@@ -20,7 +20,6 @@ __all__ = [
     "MomentSummary",
     "cdf_at",
     "wasserstein1",
-    "kolmogorov",
     "j_functionals",
     "moment_summary",
     "sample_inverse_transform",
@@ -185,17 +184,6 @@ def wasserstein1(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     above = (at_edges[1:] - at_cross) - x * (hi - cross)
     # each piece is non-negative exactly; clamp the roundoff of the differences
     return float(np.maximum(below, 0.0).sum() + np.maximum(above, 0.0).sum())
-
-
-def kolmogorov(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Sup-distance between the two CDFs.
-
-    Both are right-continuous steps that jump only at atoms, so each left
-    limit F(x-) is the value at the previous atom of either measure, or 0,
-    and the sup is reached at an atom.
-    """
-    merged = np.concatenate([a.atoms, b.atoms])
-    return float(np.abs(cdf_at(a, merged) - cdf_at(b, merged)).max())
 
 
 def j_functionals(m: EmpiricalMeasure) -> tuple[float, float]:

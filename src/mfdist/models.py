@@ -216,6 +216,21 @@ class ModelSuite:
         return all_subsets(self.n)
 
 
+def _finite_draw(
+    suite: ModelSuite, rng: np.random.Generator, size: int, purpose: str,
+    models: tuple[int, ...] | None = None,
+) -> Drawn:
+    """``suite.draw``, raising ConfigError, not a RuntimeWarning, when a value
+    overflows.  For all models or Y alone: unasked surrogate columns are NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drawn = suite.draw(rng, size, models)
+    if not all(v is None or np.isfinite(v).all() for v in drawn):
+        raise ConfigError(
+            f"suite {suite.name!r}: the {purpose} draw holds values that are not finite"
+        )
+    return drawn
+
+
 # ---------------------------------------------------------------------------
 # Built-in suites
 # ---------------------------------------------------------------------------

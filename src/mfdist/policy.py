@@ -18,10 +18,11 @@ import numpy as np
 from .errors import (
     BudgetExhaustedError,
     InfeasibleExploitationError,
+    InsufficientSampleError,
     PolicyError,
 )
 from .measures import EmpiricalMeasure, _cdf_variation, _j1, j_functionals
-from .models import _BLOCK_ROWS, ModelSuite
+from .models import _BLOCK_ROWS, ModelSuite, _finite_draw
 from .regress import FitResult, _ols, ols_fit, quantile_fit
 
 __all__ = [
@@ -101,15 +102,11 @@ def oracle_optimum(
     """
     if set(k1) != set(k2) or not k1:
         raise ValueError("k1 and k2 must cover the same nonempty subset collection")
-    ordered = sorted(k1, key=lambda s: (len(s), s))
-    best = None
-    best_val = np.inf
-    for subset in ordered:
-        val = optimal_loss_value(k1[subset], k2[subset], budget, c_epr)
-        if val < best_val:
-            best, best_val = subset, val
-    assert best is not None
-    return best, optimal_exploration(k1[best], k2[best], budget, c_epr), best_val
+    # canonically ordered, and min keeps the first of ties, as in _argmin_rho
+    values = {s: optimal_loss_value(k1[s], k2[s], budget, c_epr)
+              for s in sorted(k1, key=lambda s: (len(s), s))}
+    best = min(values, key=values.get)
+    return best, optimal_exploration(k1[best], k2[best], budget, c_epr), values[best]
 
 
 def efficiency_ratio(
@@ -259,13 +256,13 @@ def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator)
 
     If the front-runner's estimated optimal rate exceeds 2t the exploration
     set doubles; if it lies in (t, 2t] the gap is halved; otherwise the
-    policy commits.  Exploration never exceeds M = floor(B / c_epr); a round
-    that cannot make integer progress commits with the current front-runner.
+    policy commits.  Exploration never exceeds M, the most rounds B affords; a
+    round that cannot make integer progress commits with the current front-runner.
     """
     if state.phase != EXPLORING:
         raise PolicyError(f"cannot step a policy in phase {state.phase!r}")
     t = state.t
-    M = int(np.floor(state.budget / suite.c_epr))
+    M = _affordable(state.budget, 0.0, suite.c_epr)
     scores = score_subsets(state, suite)
     best = _argmin_rho(scores)
     exact = [s for s in scores if s.rank_ok and s.k1_hat == 0.0]
@@ -317,6 +314,14 @@ def next_round_target(t: int, m_star: float, max_rounds: int) -> tuple[int, bool
     return new_t, False
 
 
+def _affordable(budget: float, spent: float, cost: float) -> int:
+    """The most draws at ``cost`` that ``spent`` can add without passing ``budget``."""
+    n = int(np.floor((budget - spent) / cost))
+    while n > 0 and spent + n * cost > budget:
+        n -= 1  # floating-point dust must never overdraw the ledger
+    return n
+
+
 def _take_samples(
     state: PolicyState, suite: ModelSuite, rng: np.random.Generator, count: int
 ) -> None:
@@ -353,9 +358,7 @@ def exploit(
         raise ValueError(f"unknown exploitation variant {variant!r}")
     subset = state.chosen
     c_ept = suite.c_ept(subset)
-    n_exploit = int(np.floor((state.budget - state.spent) / c_ept))
-    while n_exploit > 0 and state.spent + n_exploit * c_ept > state.budget:
-        n_exploit -= 1  # floating-point dust must never overdraw the ledger
+    n_exploit = _affordable(state.budget, state.spent, c_ept)
     if n_exploit < 1:
         raise InfeasibleExploitationError(
             f"exploration spent {state.spent} of {state.budget}; "
@@ -427,15 +430,18 @@ def pilot_statistics(
     Unlike the online scores, the oracle k1 uses the plain dimension term
     sqrt(cols), i.e. sqrt(s+1) for s regression features.
     """
-    y, x = suite.draw(rng, n_pilot)
+    y, x = _finite_draw(suite, rng, n_pilot, "pilot")
     j0_y, j1_y = j_functionals(EmpiricalMeasure.from_samples(y))
+    if j1_y == 0.0:
+        raise InsufficientSampleError(
+            f"J1(Y) = 0 on the {n_pilot}-row pilot: Y takes one value, so every k2 is 0"
+        )
     k1: dict[tuple[int, ...], float] = {}
     k2: dict[tuple[int, ...], float] = {}
     sigma2: dict[tuple[int, ...], float] = {}
-    design = suite.feature_map.design(x)
     root_variation = np.sqrt(_cdf_variation(n_pilot))
     for subset in suite.subsets():
-        Z = np.ascontiguousarray(design[:, suite.feature_map.columns(subset)])
+        Z = suite.feature_map.design(x, subset)
         fit = ols_fit(Z, y)
         k1[subset] = _k1(fit, Z.shape[1], root_variation)
         k2[subset] = suite.c_ept(subset) * j1_y**2

@@ -21,7 +21,6 @@ __all__ = [
     "FitResult",
     "QuantileFit",
     "ols_fit",
-    "pinball_loss",
     "quantile_fit",
 ]
 
@@ -89,16 +88,6 @@ def _ols(Z: np.ndarray, y: np.ndarray) -> FitResult:
     residuals = y - Z @ beta
     sigma2 = float(residuals @ residuals) / (rows - cols)
     return FitResult(beta, residuals, sigma2, rank_ok=bool(rank == cols))
-
-
-def pinball_loss(x, tau: float):
-    """Asymmetric absolute loss x * (tau - 1[x < 0]); its minimizer in location
-    problems is the tau-quantile."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = x_arr * (tau - (x_arr < 0.0))
-    return float(out) if np.isscalar(x) else out
 
 
 def _lex_descent_edge(slopes: np.ndarray, W: np.ndarray, Zh_inv: np.ndarray) -> int | None:

@@ -258,6 +258,16 @@ def pinball_primal_lp(Z: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndar
     return beta, float(np.mean(np.where(r < 0.0, (tau - 1.0) * r, tau * r)))
 
 
+def pinball_loss(x, tau: float):
+    """Asymmetric absolute loss x * (tau - 1[x < 0]); its minimizer in location
+    problems is the tau-quantile."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
+    x_arr = np.asarray(x, dtype=np.float64)
+    out = x_arr * (tau - (x_arr < 0.0))
+    return float(out) if np.isscalar(x) else out
+
+
 def pinball_subgradient_margin(Z: np.ndarray, y: np.ndarray, tau: float, beta: np.ndarray) -> float:
     """Smallest one-sided directional derivative of the mean pinball loss at
     ``beta`` over the signed coordinate directions.

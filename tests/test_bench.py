@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ class TestRunExperiment:
             if not r.failed:
                 assert r.spend <= r.budget + 1e-9
 
+    def test_ecdf_y_never_overdraws(self):
+        # floor(55.4 / 0.2) is 277, but 277 * 0.2 is 55.400000000000006
+        cfg = small_config(suite={"name": "ishigami-perfect", "cost_y": 0.2},
+                           methods=["ecdf-y"], budgets=[55.4], replicates=1)
+        rows, _ = run_experiment(cfg)
+        assert rows[0].spend == 276 * 0.2 <= 55.4
+
     def test_aetc_rows_record_choice_and_trace(self):
         cfg = small_config(methods=["aetc-d"], budgets=[200.0], replicates=1)
         rows, _ = run_experiment(cfg)
@@ -402,6 +410,30 @@ class TestOutputsAndCli:
         argv = ["oracle", "--suite", str(suite_path), "--pilot", "100", *flags]
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_cli_oracle_rejects_an_overflowing_pilot(self, tmp_path, capsys):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"name": "ishigami-perfect", "a": 1e308, "b": 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["oracle", "--suite", str(suite_path), "--pilot", "100"]) == 2
+        captured = capsys.readouterr()
+        message = "suite 'ishigami-perfect': the pilot draw holds values that are not finite"
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_cli_oracle_rejects_a_constant_y(self, tmp_path, capsys):
+        from mfdist.models import SampleTable
+
+        _, x = ishigami_suite("perfect").draw(np.random.default_rng(2), 20)
+        table = SampleTable(y=np.full(20, 3.0), x=x, cost_y=1.0, costs=(0.05, 0.001))
+        write_table(table, tmp_path / "table.csv", tmp_path / "costs.json")
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({"name": "table", "path": str(tmp_path / "table.csv"),
+                                          "costs_path": str(tmp_path / "costs.json")}))
+        assert cli_main(["oracle", "--suite", str(suite_path), "--pilot", "100"]) == 2
+        captured = capsys.readouterr()
+        message = "J1(Y) = 0 on the 100-row pilot: Y takes one value, so every k2 is 0"
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_cli_error_paths(self, tmp_path):

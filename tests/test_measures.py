@@ -15,7 +15,6 @@ from mfdist.measures import (
     _rank,
     cdf_at,
     j_functionals,
-    kolmogorov,
     moment_summary,
     sample_inverse_transform,
     wasserstein1,
@@ -418,40 +417,6 @@ class TestWassersteinAgainstRationals:
             assert abs(Fraction(got) - exact) <= 4 * np.finfo(np.float64).eps * exact, c
 
 
-class TestKolmogorov:
-    def test_point_masses(self):
-        assert kolmogorov(uniform_measure(0.0), uniform_measure(1.0)) == 1.0
-
-    def test_identical(self):
-        m = uniform_measure(0.0, 1.0, 4.0)
-        assert kolmogorov(m, m) == 0.0
-
-    def test_max_step_gap(self):
-        a = uniform_measure(0.0, 1.0)
-        b = uniform_measure(0.0, 1.0, 2.0)
-        assert kolmogorov(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_left_limit_matters(self):
-        # identical atom sets but different multiplicities (weights 0.9/0.1
-        # and 0.1/0.9): the sup sits at a jump
-        a = EmpiricalMeasure.from_samples(np.repeat([0.0, 1.0], [9, 1]))
-        b = EmpiricalMeasure.from_samples(np.repeat([0.0, 1.0], [1, 9]))
-        assert kolmogorov(a, b) == pytest.approx(0.8, abs=1e-15)
-
-    def test_matches_both_one_sided_limits(self):
-        # repeated draws of a few integers: many atoms tie within and across
-        # the two measures, so left limits differ from the values
-        rng = np.random.default_rng(20261018)
-
-        def tied_measure():
-            n = int(rng.integers(1, 10))
-            return EmpiricalMeasure.from_samples(repeated(rng, rng.integers(-4, 5, size=n), most=5))
-
-        for _ in range(2000):
-            a, b = tied_measure(), tied_measure()
-            assert kolmogorov(a, b) == kolmogorov_bruteforce(a, b), (a.atoms, b.atoms)
-
-
 class TestJFunctionals:
     def test_point_mass_is_zero(self):
         assert j_functionals(uniform_measure(3.7)) == (0.0, 0.0)
@@ -502,7 +467,7 @@ class TestMetricProperties:
         rng = np.random.default_rng(42)
         for _ in range(60):
             a, b, c = (random_measure(rng) for _ in range(3))
-            for dist in (wasserstein1, kolmogorov):
+            for dist in (wasserstein1, kolmogorov_bruteforce):
                 assert dist(a, b) == dist(b, a)  # symmetry, exact
                 assert dist(a, b) >= 0.0
                 assert dist(a, a) == 0.0
@@ -514,9 +479,9 @@ class TestMetricProperties:
             a = random_measure(rng)
             b = random_measure(rng)
             if wasserstein1(a, b) == 0.0:
-                assert kolmogorov(a, b) == 0.0
+                assert kolmogorov_bruteforce(a, b) == 0.0
             else:
-                assert kolmogorov(a, b) > 0.0
+                assert kolmogorov_bruteforce(a, b) > 0.0
 
     def test_quantile_representation_equivalence(self):
         rng = np.random.default_rng(44)
@@ -549,7 +514,7 @@ class TestMetricProperties:
             uniform_measure(0.5),
         ):
             bound = 2.0 * np.sqrt(1.0 * wasserstein1(a, b))
-            assert kolmogorov(a, b) <= 1.1 * bound
+            assert kolmogorov_bruteforce(a, b) <= 1.1 * bound
 
 
 class TestJRatioSpotCheck:

@@ -8,9 +8,9 @@ PUBLIC_NAMES = [
     "EmpiricalMeasure", "ExperimentConfig", "FeatureMap", "FitResult", "ModelSuite",
     "MomentSummary", "PolicyState", "QuantileFit", "ResultRow", "SampleTable",
     "SubsetScore", "aetc_d_step", "cdf_at", "efficiency_ratio", "expanded_suite",
-    "exploit", "fit_tradeoff_curve", "ishigami_suite", "j_functionals", "kolmogorov",
+    "exploit", "fit_tradeoff_curve", "ishigami_suite", "j_functionals",
     "moment_summary", "ols_fit", "optimal_exploration", "oracle_optimum",
-    "pilot_statistics", "pinball_loss", "quantile_fit", "run_aetc_d", "run_ecdf_y",
+    "pilot_statistics", "quantile_fit", "run_aetc_d", "run_ecdf_y",
     "run_experiment", "run_fixed_m", "run_statistics_comparison",
     "sample_inverse_transform", "score_subsets", "start_exploration",
     "suite_from_config", "surrogate_loss", "table_suite", "wasserstein1",

@@ -7,13 +7,13 @@ from mfdist.errors import InsufficientSampleError
 from mfdist.regress import (
     QuantileFit,
     ols_fit,
-    pinball_loss,
     quantile_fit,
 )
 
 from oracles import (
     ols_normal_equations_mp,
     pinball_lexmin_bruteforce,
+    pinball_loss,
     pinball_loss_exact,
     pinball_primal_lp,
     pinball_subgradient_margin,
