@@ -259,11 +259,8 @@ def run_fixed_m(
             f"budget {budget} cannot cover {m} exploration rounds plus exploitation"
         )
     y, x = suite.draw(rng, m)
-    state = PolicyState(
-        budget=budget, y_epr=y, x_epr=x, spent=cost, phase=COMMITTED, chosen=subset
-    )
-    estimate = exploit(state, suite, variant="standard", rng=rng)
-    return estimate, state
+    state = PolicyState(budget=budget, y_epr=y, x_epr=x, spent=cost, phase=COMMITTED, chosen=subset)
+    return exploit(state, suite, variant="standard", rng=rng), state
 
 
 def _run_method(

@@ -9,11 +9,13 @@ by sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientSampleError
+from .models import _BLOCK_ROWS
 
 __all__ = [
     "EmpiricalMeasure",
@@ -222,30 +224,22 @@ def moment_summary(m: EmpiricalMeasure) -> MomentSummary:
             raise InsufficientSampleError(
                 f"{name} needs at least {threshold} atoms, measure has {m.size}"
             )
-    # dot products against 1/N, not means: the two round differently
-    w = np.full(m.size, 1.0 / m.size)
-    mean = float(w @ m.atoms)
-    dev = m.atoms - mean
+    # dot products against 1/N, not means: the two round differently.  They
+    # run over blocks of atoms, so temporaries stay O(block); fsum adds blocks
+    w = np.full(min(m.size, _BLOCK_ROWS), 1.0 / m.size)
+    blocks = [m.atoms[start:start + _BLOCK_ROWS] for start in range(0, m.size, _BLOCK_ROWS)]
+    mean = math.fsum(w[:a.size] @ a for a in blocks)
     # a second centring takes out the rounding of the first mean
-    shift = float(w @ dev)
-    dev -= shift
-    mean += shift
-    # products, not float powers: each x**3 or x**4 element is a libm pow call
-    sq = dev * dev
-    m2 = float(w @ sq)
-    dev *= sq
-    m3 = float(w @ dev)
-    sq *= sq
-    m4 = float(w @ sq)
-    variance = m2 / (1.0 - float(w @ w))
+    shift = math.fsum(w[:a.size] @ (a - mean) for a in blocks)
+    parts = []
+    for a in blocks:
+        dev = a - mean - shift
+        sq = dev * dev  # products, not float powers: x**3 or x**4 is a libm pow call
+        parts.append([w[:a.size] @ power for power in (sq, sq * dev, sq * sq)])
+    m2, m3, m4 = (math.fsum(column) for column in zip(*parts))
     if m2 == 0.0:
         raise InsufficientSampleError("degenerate sample: all atoms identical")
-    return MomentSummary(
-        mean=mean,
-        variance=variance,
-        skewness=m3 / m2**1.5,
-        kurtosis=m4 / m2**2,
-    )
+    return MomentSummary(mean + shift, m2 * m.size / (m.size - 1), m3 / m2**1.5, m4 / m2**2)
 
 
 def sample_inverse_transform(m: EmpiricalMeasure, u):

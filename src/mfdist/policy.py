@@ -202,6 +202,15 @@ def _k1(fit: FitResult, dim: int, root_variation: np.ndarray) -> float:
     return (2.0 * np.sqrt(dim) * np.sqrt(fit.sigma2_hat) + j1_eps) ** 2
 
 
+def _design(suite: ModelSuite, x: np.ndarray, subset=None) -> np.ndarray:
+    """The design to fit on; PolicyError, a cell error, if finite samples overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = suite.feature_map.design(x, subset)
+    if not np.isfinite(Z).all() and np.isfinite(x).all():
+        raise PolicyError(f"suite {suite.name!r}: finite samples overflow the feature expansion")
+    return Z
+
+
 def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
     """Score every nonempty subset on the current exploration data.
 
@@ -212,7 +221,7 @@ def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
     t, y, budget, c_epr = state.t, state.y_epr, state.budget, suite.c_epr
     if t < suite.n + 2:
         raise PolicyError(f"scoring requires t >= {suite.n + 2}, have t={t}")
-    design = suite.feature_map.design(state.x_epr)
+    design = _design(suite, state.x_epr)
     # one check serves every subset: each design is a column gather of this one
     if not (np.isfinite(design).all() and np.isfinite(y).all()):
         raise ValueError("design and response must be finite")
@@ -364,7 +373,7 @@ def exploit(
             f"exploration spent {state.spent} of {state.budget}; "
             f"no exploitation sample at cost {c_ept} is affordable"
         )
-    Z = suite.feature_map.design(state.x_epr, subset)
+    Z = _design(suite, state.x_epr, subset)
     if variant == "quantile":
         k = QUANTILE_GRID_SIZE
         levels = quantile_fit(Z, state.y_epr, np.arange(1, k + 1) / (k + 1.0))
@@ -381,26 +390,26 @@ def exploit(
     # one-row product as a dot, which rounds otherwise
     values = np.empty(n_exploit)
     start = 0
-    while start < n_exploit:
-        stop = n_exploit if n_exploit - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
-        Z = suite.feature_map.design(x[start:stop], subset)
-        if variant == "quantile":
-            values[start:stop] = levels.predict(Z, level_idx[start:stop])
-        else:
-            np.matmul(Z, fit.beta_hat, out=values[start:stop])
-        start = stop
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows once sorted
+        while start < n_exploit:
+            stop = n_exploit if n_exploit - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
+            Z = suite.feature_map.design(x[start:stop], subset)
+            if variant == "quantile":
+                values[start:stop] = levels.predict(Z, level_idx[start:stop])
+            else:
+                np.matmul(Z, fit.beta_hat, out=values[start:stop])
+            start = stop
+    del x  # before the noise indices arrive, whose residuals are added a block at a time
     if variant == "standard":
-        values += _bootstrap_residuals(fit.residuals, n_exploit, rng)
+        noise_idx = rng.integers(0, fit.residuals.size, size=n_exploit)
+        for lo in range(0, n_exploit, _BLOCK_ROWS):
+            values[lo:lo + _BLOCK_ROWS] += fit.residuals[noise_idx[lo:lo + _BLOCK_ROWS]]
+    values.sort()  # in place; NaN sorts last, so the ends show any value that is not finite
+    if not np.isfinite(values[[0, -1]]).all():
+        raise PolicyError(f"suite {suite.name!r}: an exploitation prediction is not finite")
     state.spent += n_exploit * c_ept
     state.phase = EXHAUSTED
-    return EmpiricalMeasure.from_samples(values)
-
-
-def _bootstrap_residuals(
-    pool: np.ndarray, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Iid uniform resample of the exploration residuals."""
-    return pool[rng.integers(0, pool.size, size=size)]
+    return EmpiricalMeasure(values)
 
 
 def run_aetc_d(
@@ -441,7 +450,7 @@ def pilot_statistics(
     sigma2: dict[tuple[int, ...], float] = {}
     root_variation = np.sqrt(_cdf_variation(n_pilot))
     for subset in suite.subsets():
-        Z = suite.feature_map.design(x, subset)
+        Z = _design(suite, x, subset)
         fit = ols_fit(Z, y)
         k1[subset] = _k1(fit, Z.shape[1], root_variation)
         k2[subset] = suite.c_ept(subset) * j1_y**2

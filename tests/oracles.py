@@ -150,9 +150,7 @@ def w1_aligned_uniform(
 def moments_float_powers(atoms, weights) -> tuple[float, float, float, float]:
     """Mean, unbiased variance, skewness and kurtosis from float powers.
 
-    The twice-centred formula of ``moment_summary`` with ``**`` in place of
-    products, so the two differ only in the rounding of the third and fourth
-    powers.
+    :func:`moments_full_array` with weights and ``**`` in place of products.
     """
     w = np.asarray(weights, dtype=np.float64)
     mean = float(w @ atoms)
@@ -164,6 +162,40 @@ def moments_float_powers(atoms, weights) -> tuple[float, float, float, float]:
     m3 = float(w @ centered**3)
     m4 = float(w @ centered**4)
     return mean, m2 / (1.0 - float(w @ w)), m3 / m2**1.5, m4 / m2**2
+
+
+def moments_full_array(atoms) -> tuple[float, float, float, float]:
+    """Mean, unbiased variance, skewness and kurtosis by the full-array
+    formula that ``moment_summary`` used before it summed by blocks: one dot
+    product against 1/N over all atoms per sum, two centrings, powers as
+    products, and N-float temporaries."""
+    w = np.full(atoms.size, 1.0 / atoms.size)
+    mean = float(w @ atoms)
+    dev = atoms - mean
+    shift = float(w @ dev)
+    dev -= shift
+    mean += shift
+    sq = dev * dev
+    m2 = float(w @ sq)
+    dev *= sq
+    m3 = float(w @ dev)
+    sq *= sq
+    m4 = float(w @ sq)
+    return mean, m2 / (1.0 - float(w @ w)), m3 / m2**1.5, m4 / m2**2
+
+
+def moments_exact(atoms) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The mean and the second to fourth central moments (divided by N) in
+    exact rationals, each float read as the binary fraction it is: power
+    sums of integers over one power of two."""
+    ints, e = _dyadic(atoms)
+    n = len(ints)
+    s1, s2, s3, s4 = (Fraction(sum(v**p for v in ints), n) for p in (1, 2, 3, 4))
+    c2 = s2 - s1**2
+    c3 = s3 - 3 * s1 * s2 + 2 * s1**3
+    c4 = s4 - 4 * s1 * s3 + 6 * s1**2 * s2 - 3 * s1**4
+    unit = Fraction(2) ** e
+    return s1 * unit, c2 * unit**2, c3 * unit**3, c4 * unit**4
 
 
 def ishigami_terms_float_powers(z, variant, a, b, c, d) -> dict[int, list[np.ndarray]]:

@@ -26,7 +26,7 @@ from mfdist.bench import (
 )
 from mfdist.cli import main as cli_main
 from mfdist.errors import BudgetExhaustedError, ConfigError, QuantileSolverError
-from mfdist.models import ishigami_suite
+from mfdist.models import SampleTable, ishigami_suite
 from mfdist.regress import quantile_fit
 
 from oracles import write_table
@@ -800,6 +800,35 @@ class TestOutputsAndCli:
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err == f"error: {message}\n"
 
+    OVERFLOW = "suite 'table+4feat': finite samples overflow the feature expansion"
+
+    @staticmethod
+    def _overflowing_table(tmp_path) -> dict:
+        """A finite 50-row table whose `L` cubes overflow: X1, X2 ~ U(1e110, 2e110)."""
+        x = np.random.default_rng(0).uniform(1e110, 2e110, size=(50, 2))
+        table = SampleTable(y=x.sum(axis=1) * 1e-110, x=x, cost_y=1.0, costs=(0.05, 0.01))
+        write_table(table, tmp_path / "t.csv", tmp_path / "costs.json")
+        return {"name": "table", "path": str(tmp_path / "t.csv"),
+                "costs_path": str(tmp_path / "costs.json"), "expansion": "L"}
+
+    def test_overflowing_table_expansion_fails_its_cell(self, tmp_path, capsys):
+        config = {"suite": self._overflowing_table(tmp_path), "methods": ["aetc-d"],
+                  "budgets": [100.0], "replicates": 1, "oracle_samples": 1000}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["error"] for row in rows] == [f"PolicyError: {self.OVERFLOW}"]
+        assert capsys.readouterr().err == ""  # and no RuntimeWarning
+
+    def test_overflowing_table_expansion_oracle_rejected(self, tmp_path, capsys):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(self._overflowing_table(tmp_path)))
+        assert cli_main(["oracle", "--suite", str(suite_path), "--pilot", "100"]) == 2
+        assert capsys.readouterr().err == f"error: {self.OVERFLOW}\n"
+
     def test_non_integer_m_grid_rejected(self, tmp_path, capsys, monkeypatch):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
         err = self._rejected(
@@ -856,11 +885,11 @@ class TestGoldenOutputs:
     }
     RESULTS = {
         "sampled": (
-            "b2ed0c6ee09540bdb4a9fb70178e218a0317b78beaf50223ea7d7094065ee5b7",
+            "fcd2c5fd1e0c9d22ef8611f6026877e9970050c45cb092e9d83ef4b6908f3ff6",
             "e9a17fa6eaa537ba9a5b7bfeeff5473d38d7d6f8cdefb56294a6d1ebf9eb6a9b",
         ),
         "full": (
-            "ee53574087b4912274335ac1adea2ef22af7f50831f91b2c7642e8ff1bcd06c1",
+            "1448ed8709f9fb48e0b6e37960e16cd8a703dbe7d9a16f5071a2c45af9ff7b39",
             "72ead33bd52221390c649e764edd942255dc20d131c38fc6afc09206570f205a",
         ),
     }
@@ -896,7 +925,7 @@ class TestGoldenOutputs:
 
     # `mfdist stats` on CONFIG at a budget where every cell but `oracle`'s
     # fails (its MSEs are written as nan) and at one where every cell completes
-    STATS_MSE = "8db2f38843e34681f216c099014d03ef2d49077b3e494c4042ed24e7be0497f0"
+    STATS_MSE = "82b05d556fe25318f0bdf9a392bbe19c0fee79cc4d62a2e34f393e9cbb1bbf33"
 
     def test_stats_hash(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -924,7 +953,7 @@ class TestGoldenOutputs:
                 "seed": 3,
             },
             (
-                "37ccd861f61943be73650c1946d7b500eace1ddf59796ee5b9ca91c2bab26310",
+                "d5b2b8e212829edea580887667a0ca12766aa15de3e77516e24b2126e5bb628a",
                 "2b1c3ba7d6d47aec12ba8a24333575fe0a531202341134b5b397299bb1d0281b",
             ),
             "ec64310049e63b4e909eac3c395804e722da8a50eef534f83d87bbcdc56d8204",
@@ -943,7 +972,7 @@ class TestGoldenOutputs:
                 "seed": 4,
             },
             (
-                "984808868edeee951fe86302635d98b14b9ba1cdc5cf9d0d04939f4420eecda4",
+                "a76975d9092552c8dcc139872beb446db4e3b4d6c5470f83e40ccb579fc7b40a",
                 "be07eb697302bdef18321530fb18dfd2715493c74b86e278a571741e12a223a1",
             ),
             "99c41c5ced27bc103a519b2cb1afd37fd9436962a40a201e0c5ede382679f822",

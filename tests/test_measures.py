@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,9 @@ from mfdist.measures import (
 
 from oracles import (
     kolmogorov_bruteforce,
+    moments_exact,
     moments_float_powers,
+    moments_full_array,
     w1_bruteforce_assignment,
     w1_quantile_grid,
     w1_uniform_exact,
@@ -612,6 +615,49 @@ class TestMomentSummary:
         assert summary.mean == float(mean)
         assert summary.skewness == pytest.approx(float(m3) / float(m2) ** 1.5, rel=1e-13)
         assert summary.kurtosis == pytest.approx(float(m4 / m2**2), rel=1e-13)
+
+    def test_blocks_no_less_accurate_than_the_full_array(self):
+        # moment_summary sums over blocks of atoms.  Against exact rational
+        # moments, each statistic's worst error over these samples, each of
+        # 3 or 4 blocks, is within a factor 2 of the full-array formula's it
+        # replaced (oracles.moments_full_array).  Errors are relative to what
+        # each sum is conditioned by: mean|x| for the mean, the value for the
+        # variance and kurtosis, and mean|x - mean|^3 / m2^1.5 for the
+        # skewness, whose third moment cancels.
+        import mpmath
+
+        rng = np.random.default_rng(53)
+        draws = [rng.normal, rng.exponential, rng.lognormal, rng.uniform]
+        samples = [draws[i % 4](size=int(rng.integers(20_000, 30_000))) + (i >= 4) * 1e6
+                   for i in range(8)]
+        samples.append(1e6 + 1e-3 * rng.gamma(2.0, size=20_000))  # the offset sample
+        worst = {"blocked": np.zeros(4), "full-array": np.zeros(4)}
+        with mpmath.workdps(40):
+            for x in samples:
+                atoms = np.sort(x)
+                mean, c2, c3, c4 = (mpmath.mpf(v.numerator) / v.denominator
+                                    for v in moments_exact(atoms))
+                exact = [mean, c2 * atoms.size / (atoms.size - 1), c3 / c2**1.5, c4 / c2**2]
+                dev = atoms - float(mean)
+                scale = [np.abs(atoms).mean(), exact[1],
+                         np.mean(np.abs(dev) ** 3) / float(c2) ** 1.5, exact[3]]
+                summary = moment_summary(EmpiricalMeasure(atoms))
+                for name, got in [("blocked", astuple(summary)),
+                                  ("full-array", moments_full_array(atoms))]:
+                    err = [float(abs(g - e) / s) for g, e, s in zip(got, exact, scale)]
+                    worst[name] = np.maximum(worst[name], err)
+        bound = 2.0 * np.maximum(worst["full-array"], 2.0**-53)
+        assert np.all(worst["blocked"] <= bound), worst
+
+    def test_temporaries_are_one_block(self):
+        m = EmpiricalMeasure.from_samples(np.random.default_rng(54).normal(size=1 << 20))
+        tracemalloc.start()
+        try:
+            moment_summary(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
     def test_insufficient_atoms(self):
         with pytest.raises(InsufficientSampleError):

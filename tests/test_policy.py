@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from mfdist.errors import BudgetExhaustedError, InfeasibleExploitationError, PolicyError
-from mfdist.measures import EmpiricalMeasure, j_functionals, wasserstein1
+from mfdist.measures import EmpiricalMeasure, j_functionals, moment_summary, wasserstein1
 from mfdist.models import (
     _BLOCK_ROWS,
     FeatureMap,
@@ -22,7 +22,6 @@ from mfdist.policy import (
     EXPLORING,
     PolicyState,
     SubsetScore,
-    _bootstrap_residuals,
     aetc_d_step,
     efficiency_ratio,
     exploit,
@@ -441,13 +440,40 @@ class TestExploit:
         assert estimate.size == int(5.0 / suite.c_ept((1,)))
 
     def test_bootstrap_uniformity_chi_square(self):
-        # noise indices must be uniform over the residual pool: chi-square
-        # goodness of fit at the 1% level with N=1e5 draws over m=100 bins
-        pool = np.arange(100, dtype=np.float64)
+        # exploit's noise indices must be uniform over the residual pool: with
+        # every input at 0 each prediction is the intercept, so each estimate
+        # atom names its residual; chi-square goodness of fit at the 1% level
+        # with N=1e5 draws over m=100 residuals
+        def zeros(rng, size, models):
+            return None, np.zeros((size, 1))
+
+        suite = ModelSuite(name="zero", cost_y=1.0, costs=(0.01,), sampler=zeros)
         rng = np.random.default_rng(12)
-        draws = _bootstrap_residuals(pool, 100_000, rng)
-        counts = np.bincount(draws.astype(int), minlength=100)
+        state = PolicyState(
+            budget=100.0 + (100_000 + 0.5) * 0.01, y_epr=rng.normal(size=100),
+            x_epr=rng.normal(size=(100, 1)), spent=100.0, phase=COMMITTED, chosen=(1,),
+        )
+        estimate = exploit(state, suite, "standard", rng=rng)
+        _, counts = np.unique(estimate.atoms, return_counts=True)
+        assert estimate.size == 100_000 and counts.size == 100
         assert stats.chisquare(counts).pvalue >= 0.01
+
+    def test_overflowing_prediction_fails_the_cell(self):
+        # the exploration rows fit, but every exploitation row's cube
+        # overflows: a cell error, not a ValueError from the measure
+        def sample(rng, size, models):
+            return None, np.full((size, 1), 1e110)
+
+        base = ModelSuite(name="big", cost_y=1.0, costs=(0.01,), sampler=sample)
+        suite = expanded_suite(base, "L")
+        rng = np.random.default_rng(15)
+        x_epr = rng.normal(size=(40, 1))
+        state = PolicyState(
+            budget=50.0, y_epr=x_epr[:, 0] + rng.normal(size=40), x_epr=x_epr, spent=40.0,
+            phase=COMMITTED, chosen=(1,),
+        )
+        with pytest.raises(PolicyError, match="an exploitation prediction is not finite"):
+            exploit(state, suite, "standard", rng=rng)
 
     def test_infeasible_exploitation(self):
         # expensive exploitation: after exploration nothing is affordable
@@ -536,23 +562,23 @@ class TestExploitBlocks:
 
 
 class TestExploitMemory:
-    """exploit holds the drawn inputs (x, 2 floats a row), the predictions
-    and their sorted copy, and the quantile variant its level indices too;
-    the measure stores no levels.  ``standard`` peaks at its bootstrap
-    gather instead (indices and residuals beside x and the predictions).
-    The design exists one block at a time.  The slack covers the last
-    block's design (0.44 MiB) and, where the peak is the measure's
-    construction, its finiteness and order checks (one byte a row each, in
-    turn)."""
+    """exploit holds the drawn inputs (x, 2 floats a row) and the predictions,
+    and the quantile variant its level indices too.  The inputs are freed
+    before ``standard`` draws its noise indices, whose residuals are added a
+    block at a time, and the predictions are sorted in place into the
+    measure, which stores no levels.  The design exists one block at a time.
+    The 1 MiB slack covers the last block's design (0.44 MiB) and the
+    measure's finiteness and order checks (one byte a row each, in turn),
+    which come after the inputs are gone."""
 
     ROWS = 1 << 20
 
     @pytest.mark.parametrize(
-        "variant, floats, slack_mib",
-        [("standard", 5, 1), ("no-noise", 4, 2), ("quantile", 5, 2)],
-        ids=["standard-5", "no-noise-4", "quantile-5"],
+        "variant, floats",
+        [("standard", 3), ("no-noise", 3), ("quantile", 4)],
+        ids=["standard-3", "no-noise-3", "quantile-4"],
     )
-    def test_peak_in_floats_a_row(self, variant, floats, slack_mib):
+    def test_peak_in_floats_a_row(self, variant, floats):
         suite = expanded_suite(ishigami_suite("perfect"), "L")
         state = committed_state(suite, (1, 2), self.ROWS, seed=6)
         tracemalloc.start()
@@ -561,7 +587,21 @@ class TestExploitMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * self.ROWS * floats + slack_mib * 2**20, peak / (8 * self.ROWS)
+        assert peak <= 8 * self.ROWS * floats + 2**20, peak / (8 * self.ROWS)
+
+    @pytest.mark.parametrize("variant, floats", [("standard", 3), ("quantile", 4)])
+    def test_exploit_then_moments(self, variant, floats):
+        # a cell's estimate and its moment summary: moment_summary works in
+        # blocks beside the 1-float estimate, so the pair peaks at exploit's
+        suite = expanded_suite(ishigami_suite("perfect"), "L")
+        state = committed_state(suite, (1, 2), self.ROWS, seed=7)
+        tracemalloc.start()
+        try:
+            moment_summary(exploit(state, suite, variant, rng=np.random.default_rng(1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * self.ROWS * floats + 2**20, peak / (8 * self.ROWS)
 
 
 def recording_suite(suite: ModelSuite) -> tuple[ModelSuite, list]:
