@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BudgetExhaustedError,
-    ConfigError,
-    InfeasibleExploitationError,
-    InsufficientSampleError,
-    PolicyError,
-    QuantileSolverError,
-)
+from .errors import BudgetExhaustedError, CellError, ConfigError, InsufficientSampleError
 from .measures import (
     EmpiricalMeasure,
     moment_summary,
@@ -45,9 +38,6 @@ __all__ = [
     "run_experiment",
     "run_fixed_m",
     "run_statistics_comparison",
-    "summarize_rows",
-    "write_results_csv",
-    "write_summary_csv",
 ]
 
 # every method but ``fixed-m:<m>``, with the run_aetc_d variant it runs
@@ -313,16 +303,6 @@ def _evaluate(
     return wasserstein1(EmpiricalMeasure.from_samples(drawn), oracle)
 
 
-# numerical failures tagged on their cell; ConfigError still aborts the run
-_CELL_ERRORS = (
-    BudgetExhaustedError,
-    InfeasibleExploitationError,
-    InsufficientSampleError,
-    PolicyError,
-    QuantileSolverError,
-)
-
-
 def _run_cell(
     config: ExperimentConfig,
     suite: ModelSuite,
@@ -344,7 +324,7 @@ def _run_cell(
         estimate, state = _run_method(
             method, suite, budget, run_rng, config.fixed_subset, oracle
         )
-    except _CELL_ERRORS as exc:
+    except CellError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row
     row.w1_error = _evaluate(config, estimate, oracle, eval_rng)
@@ -452,15 +432,15 @@ def fit_tradeoff_curve(
     problem.  Negative coefficients are clipped to zero with a warning.
     Returns (a1, a2, residual_norm), the norm taken after any clipping.
     """
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 points to fit the curve, got {len(points)}")
     m = np.array([p[0] for p in points], dtype=np.float64)
     err = np.array([p[1] for p in points], dtype=np.float64)
     limit = budget / c_epr
     if np.any(m <= 0) or np.any(m >= limit):
-        raise ValueError(f"exploration rates must lie strictly inside (0, {limit})")
+        raise ConfigError(f"exploration rates must lie strictly inside (0, {limit})")
+    if len(points) < 3:
+        raise InsufficientSampleError(f"need at least 3 points to fit the curve, got {len(points)}")
     if np.all(m == m[0]):
-        raise ValueError("all exploration rates are equal; the basis is degenerate")
+        raise InsufficientSampleError("all exploration rates are equal; the basis is degenerate")
     basis = np.column_stack([1.0 / np.sqrt(m), 1.0 / np.sqrt(limit - m)])
     coef, _, _, _ = np.linalg.lstsq(basis, err, rcond=None)
     if np.any(coef < -1e-9 * max(1.0, float(np.max(np.abs(coef))))):

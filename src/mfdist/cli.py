@@ -32,7 +32,7 @@ from .bench import (
     write_traces,
 )
 from .errors import ConfigError, MfdistError
-from .models import load_json_object, not_utf8_message, suite_from_config
+from .models import _not_finite, load_json_object, not_utf8_message, suite_from_config
 from .policy import efficiency_ratio, optimal_exploration, oracle_optimum, pilot_statistics
 
 
@@ -108,8 +108,12 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
                 m = fixed_rate(rec["method"])
                 if m is None or rec["error"]:
                     continue
-                by_m.setdefault(m, []).append(float(rec["w1_error"]))
-                budgets.add(float(rec["budget"]))
+                values = {key: float(rec[key]) for key in ("w1_error", "budget")}
+                for key, value in values.items():
+                    if not np.isfinite(value):
+                        raise ValueError(_not_finite(key, value))
+                by_m.setdefault(m, []).append(values["w1_error"])
+                budgets.add(values["budget"])
         except UnicodeDecodeError:
             raise MfdistError(not_utf8_message(path)) from None
         except ValueError as exc:  # fixed_rate's ConfigError included
@@ -120,7 +124,10 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
         )
     budget = budgets.pop()
     points = [(float(m), float(np.mean(errs))) for m, errs in sorted(by_m.items())]
-    a1, a2, resid = fit_tradeoff_curve(points, budget, suite.c_epr)
+    try:
+        a1, a2, resid = fit_tradeoff_curve(points, budget, suite.c_epr)
+    except MfdistError as exc:  # the file's rates cannot be fitted
+        raise MfdistError(f"{path}: {exc}") from None
     minimizer = (
         optimal_exploration(a1**2, a2**2 * suite.c_epr, budget, suite.c_epr)
         if a1 > 0 and a2 > 0

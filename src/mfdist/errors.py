@@ -5,19 +5,23 @@ class MfdistError(Exception):
     """Base class for package-specific failures."""
 
 
-class BudgetExhaustedError(MfdistError):
+class CellError(MfdistError):
+    """A numerical failure the harness tags on its cell's row; any other error aborts the run."""
+
+
+class BudgetExhaustedError(CellError):
     """The budget cannot cover even the mandatory sampling (e.g. initial exploration)."""
 
 
-class InfeasibleExploitationError(MfdistError):
+class InfeasibleExploitationError(CellError):
     """No exploitation samples are affordable after exploration spent the budget."""
 
 
-class InsufficientSampleError(MfdistError, ValueError):
+class InsufficientSampleError(CellError, ValueError):
     """Too few atoms/rows to compute the requested statistic or fit."""
 
 
-class QuantileSolverError(MfdistError, RuntimeError):
+class QuantileSolverError(CellError, RuntimeError):
     """The quantile basis walk exceeded its pivot cap or found the objective unbounded."""
 
 
@@ -29,5 +33,5 @@ class ConfigError(MfdistError, ValueError):
     """An experiment or suite configuration is invalid (unknown keys, bad values)."""
 
 
-class PolicyError(MfdistError, RuntimeError):
+class PolicyError(CellError, RuntimeError):
     """The adaptive policy reached a state it cannot act from."""

@@ -28,15 +28,11 @@ import numpy as np
 from .errors import ConfigError, TableParseError
 
 __all__ = [
-    "MAX_MODELS",
     "FeatureMap",
     "ModelSuite",
     "SampleTable",
-    "all_subsets",
-    "cubic_expansion",
     "expanded_suite",
     "ishigami_suite",
-    "quadratic_interaction_expansion",
     "suite_from_config",
     "table_suite",
 ]

@@ -31,9 +31,7 @@ __all__ = [
     "aetc_d_step",
     "efficiency_ratio",
     "exploit",
-    "next_round_target",
     "optimal_exploration",
-    "optimal_loss_value",
     "oracle_optimum",
     "pilot_statistics",
     "run_aetc_d",
@@ -234,9 +232,9 @@ def score_subsets(state: PolicyState, suite: ModelSuite) -> list[SubsetScore]:
         cols = suite.feature_map.columns(subset)
         rank_ok, k1, k2, m_star, rho = False, np.nan, np.nan, np.nan, np.inf
         if t > len(cols):
-            # a C-ordered copy, as FeatureMap.design(x, subset) returns: the
-            # strided gather would move the fit's low bits
-            fit = _ols(np.ascontiguousarray(design[:, cols]), y)
+            # take copies in C order, as FeatureMap.design(x, subset) returns;
+            # the F-ordered design[:, cols] would move the fit's low bits
+            fit = _ols(design.take(cols, axis=1), y)
             rank_ok = fit.rank_ok
             if float(np.abs(fit.residuals).max()) <= _ZERO_RESIDUAL_RTOL * scale:
                 k1 = 0.0

@@ -676,8 +676,15 @@ class TestOutputsAndCli:
             ((b",w1_error,", b",w1,"), "line 1: missing columns ['w1_error']"),
             ((b",0.25,", b",small,"), "line 3: could not convert string to float: 'small'"),
             ((b"fixed-m:20", b"fixed-m:\xff"), "line 3: byte 0xff is not UTF-8"),
+            ((b",0.25,", b",nan,"), "line 3: column w1_error is nan, not a finite number"),
+            ((b"fixed-m:20,200,", b"fixed-m:20,inf,"),
+             "line 3: column budget is inf, not a finite number"),
+            ((b"fixed-m:20", b"fixed-m:10"), "need at least 3 points to fit the curve, got 1"),
+            ((b"fixed-m:20", b"fixed-m:30000"),
+             "exploration rates must lie strictly inside (0, 190.29"),
         ],
-        ids=["missing-column", "non-numeric", "not-utf8"],
+        ids=["missing-column", "non-numeric", "not-utf8", "non-finite-error",
+             "non-finite-budget", "too-few-rates", "rate-outside-domain"],
     )
     def test_malformed_fit_curve_input_rejected(self, tmp_path, capsys, edit, message):
         text = (

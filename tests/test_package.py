@@ -2,7 +2,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import mfdist
+from mfdist import errors
 
 PUBLIC_NAMES = [
     "EmpiricalMeasure", "ExperimentConfig", "FeatureMap", "FitResult", "ModelSuite",
@@ -21,6 +24,38 @@ def test_public_names_are_pinned_and_resolve():
     assert mfdist.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert callable(getattr(mfdist, name)), name
+
+
+def test_each_public_name_is_declared_once_in_its_module():
+    modules = [mfdist.bench, mfdist.measures, mfdist.models, mfdist.policy, mfdist.regress]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert sorted(declared) == PUBLIC_NAMES
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_exactly_the_numerical_failures_are_cell_errors():
+    cell_errors = {
+        errors.BudgetExhaustedError, errors.InfeasibleExploitationError,
+        errors.InsufficientSampleError, errors.PolicyError, errors.QuantileSolverError,
+    }
+    classes = [value for value in vars(errors).values() if isinstance(value, type)]
+    subclasses = {cls for cls in classes if issubclass(cls, errors.CellError)}
+    assert subclasses == cell_errors | {errors.CellError}
+    # the errors of a run's inputs abort the run
+    for cls in (errors.ConfigError, errors.TableParseError):
+        assert cls.__bases__[0] is errors.MfdistError, cls
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # pyproject's [tool.setuptools] is beta
+def test_the_version_is_declared_once():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == mfdist.__version__
 
 
 def test_a_measure_is_built_from_atoms_only():
