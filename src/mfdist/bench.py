@@ -27,7 +27,7 @@ from .measures import (
     sample_inverse_transform,
     wasserstein1,
 )
-from .models import ModelSuite, _finite_draw, json_array, load_json_object, suite_from_config
+from .models import ModelSuite, json_array, load_json_object, suite_from_config
 from .policy import COMMITTED, PolicyState, _affordable, exploit, run_aetc_d
 
 __all__ = [
@@ -50,6 +50,10 @@ SUMMARY_COLUMNS = ["method", "budget", "mean", "q05", "q50", "q95", "failures"]
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _integer(value) -> int:
@@ -130,7 +134,7 @@ class ExperimentConfig:
             raise ConfigError("budgets must be strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = _physical_memory()
         for key in ("eval_samples", "oracle_samples"):  # each is drawn as one float64 array
             count = getattr(self, key)
             if not 1 <= count <= memory // 8:
@@ -286,7 +290,7 @@ def _replicate_seed(master: int, method_idx: int, budget_idx: int, replicate: in
 
 def build_oracle_measure(config: ExperimentConfig, suite: ModelSuite) -> EmpiricalMeasure:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0xFACE)))
-    y, _ = _finite_draw(suite, rng, config.oracle_samples, "oracle", (0,))
+    y, _ = suite.draw(rng, config.oracle_samples, (0,))
     return EmpiricalMeasure.from_samples(y)
 
 

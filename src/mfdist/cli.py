@@ -22,6 +22,7 @@ import numpy as np
 
 from .bench import (
     ExperimentConfig,
+    _physical_memory,
     fit_tradeoff_curve,
     fixed_rate,
     run_experiment,
@@ -149,8 +150,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not 0.0 < args.budget < np.inf:  # nan fails both comparisons
         raise ConfigError(f"--budget must be positive and finite, got {args.budget}")
     suite = suite_from_config(load_json_object(args.suite))
-    rng = np.random.default_rng(args.seed)
-    pilot = pilot_statistics(suite, args.pilot, rng)
+    if args.pilot * (suite.n + 1) * 8 > (memory := _physical_memory()):  # the joint draw
+        raise ConfigError(f"--pilot must fit in the {memory:.3g} bytes of physical memory "
+                          f"as {suite.n + 1} float64 values a row, got {args.pilot}")
+    pilot = pilot_statistics(suite, args.pilot, np.random.default_rng(args.seed))
     budget = args.budget
     s_opt, m_star, g_star = oracle_optimum(pilot["k1"], pilot["k2"], budget, suite.c_epr)
     report = {
@@ -167,7 +170,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 "sigma2": pilot["sigma2"][s],
                 "m_star": optimal_exploration(pilot["k1"][s], pilot["k2"][s], budget, suite.c_epr),
             }
-            for s in sorted(pilot["k1"], key=lambda s: (len(s), s))
+            for s in pilot["k1"]
         ],
         "S_opt": list(s_opt),
         "m_star_opt": m_star,

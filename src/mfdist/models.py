@@ -212,21 +212,6 @@ class ModelSuite:
         return all_subsets(self.n)
 
 
-def _finite_draw(
-    suite: ModelSuite, rng: np.random.Generator, size: int, purpose: str,
-    models: tuple[int, ...] | None = None,
-) -> Drawn:
-    """``suite.draw``, raising ConfigError, not a RuntimeWarning, when a value
-    overflows.  For all models or Y alone: unasked surrogate columns are NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        drawn = suite.draw(rng, size, models)
-    if not all(v is None or np.isfinite(v).all() for v in drawn):
-        raise ConfigError(
-            f"suite {suite.name!r}: the {purpose} draw holds values that are not finite"
-        )
-    return drawn
-
-
 # ---------------------------------------------------------------------------
 # Built-in suites
 # ---------------------------------------------------------------------------
@@ -336,16 +321,25 @@ def ishigami_suite(
     partial sums of it, so the linear conditional-mean assumption holds; the
     ``approx`` variant perturbs the surrogate coefficients so it only holds
     approximately.  Unspecified c, d default to (1, 0.1) for ``perfect`` and
-    (0, 0) for ``approx``, the settings of the two benchmark studies.
+    (0, 0) for ``approx``, the settings of the two benchmark studies.  Draws lie in
+    [lo, hi] = [min(a, 0) - s + min(d, 0), max(a, 0) + s + max(d, 0)], s = 1 + pi^4 |b| + |c|:
+    ConfigError if lo or hi, widened for rounding, is not finite or ``costs`` has not 2 entries.
     """
     if variant not in ("perfect", "approx"):
         raise ConfigError(f"unknown variant {variant!r}; expected 'perfect' or 'approx'")
+    if len(costs) != 2:
+        raise ConfigError(f"Ishigami costs need 2 entries, one per surrogate, got {list(costs)}")
     if c is None:
         c = 1.0 if variant == "perfect" else 0.0
     if d is None:
         d = 0.1 if variant == "perfect" else 0.0
-    if not all(np.isfinite(v) for v in (a, b, c, d)):
-        raise ConfigError(f"Ishigami parameters must be finite, got a={a}, b={b}, c={c}, d={d}")
+    spread = 1.0 + np.pi**4 * abs(b) + abs(c)
+    lo, hi = min(a, 0.0) - spread + min(d, 0.0), max(a, 0.0) + spread + max(d, 0.0)
+    # approx's 9b z3^2 s1 lies in +-pi^4 |b| (9 pi^2 < pi^4).  A value takes at most 8 roundings
+    # (5 in b z3^4 s1, 3 additions), lo or hi 6: (1 + 2^-53)^8 / (1 - 2^-53)^6 < 1 + 2^-49
+    if not all(math.isfinite(v * (1.0 + 2.0**-49)) for v in (lo, hi)):
+        raise ConfigError(f"Ishigami parameters must be finite, got a={a}, b={b}, c={c}, d={d}, "
+                          f"and keep their draws' range [{lo:.6g}, {hi:.6g}] off float64's limit")
     return ModelSuite(
         name=f"ishigami-{variant}",
         cost_y=cost_y,
@@ -570,7 +564,7 @@ def _loadtxt_rows(fh, path: Path, width: int) -> np.ndarray | None:
     return data if data.shape == (lines - 1, width) else None
 
 
-def table_suite(table: SampleTable, name: str = "table") -> ModelSuite:
+def table_suite(table: SampleTable) -> ModelSuite:
     """Suite whose sampler bootstraps rows of a precomputed table."""
     if table.rows == 0:
         raise TableParseError("cannot build a suite from an empty table")
@@ -581,9 +575,7 @@ def table_suite(table: SampleTable, name: str = "table") -> ModelSuite:
         x = _blank_unasked(table.x[idx], models) if models[-1] > 0 else None
         return y, x
 
-    return ModelSuite(
-        name=name, cost_y=table.cost_y, costs=table.costs, sampler=sample
-    )
+    return ModelSuite(name="table", cost_y=table.cost_y, costs=table.costs, sampler=sample)
 
 
 # ---------------------------------------------------------------------------

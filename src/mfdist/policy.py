@@ -22,7 +22,7 @@ from .errors import (
     PolicyError,
 )
 from .measures import EmpiricalMeasure, _cdf_variation, _j1, j_functionals
-from .models import _BLOCK_ROWS, ModelSuite, _finite_draw
+from .models import _BLOCK_ROWS, ModelSuite
 from .regress import FitResult, _ols, ols_fit, quantile_fit
 
 __all__ = [
@@ -437,7 +437,7 @@ def pilot_statistics(
     Unlike the online scores, the oracle k1 uses the plain dimension term
     sqrt(cols), i.e. sqrt(s+1) for s regression features.
     """
-    y, x = _finite_draw(suite, rng, n_pilot, "pilot")
+    y, x = suite.draw(rng, n_pilot)
     j0_y, j1_y = j_functionals(EmpiricalMeasure.from_samples(y))
     if j1_y == 0.0:
         raise InsufficientSampleError(

@@ -31,6 +31,8 @@ from mfdist.regress import quantile_fit
 
 from oracles import write_table
 
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 def small_config(**overrides) -> ExperimentConfig:
     raw = {
@@ -396,9 +398,13 @@ class TestOutputsAndCli:
             (["--budget", "-5"], "--budget must be positive and finite, got -5.0"),
             (["--budget", "nan"], "--budget must be positive and finite, got nan"),
             (["--budget", "inf"], "--budget must be positive and finite, got inf"),
+            # unchecked, numpy refused the 24 TB joint draw with a traceback
+            (["--pilot", str(10**12)],
+             f"--pilot must fit in the {PHYSICAL_MEMORY:.3g} bytes of physical memory as "
+             f"3 float64 values a row, got {10**12}"),
         ],
         ids=["seed-negative", "pilot-zero", "pilot-negative", "budget-negative",
-             "budget-nan", "budget-inf"],
+             "budget-nan", "budget-inf", "pilot-past-memory"],
     )
     def test_cli_oracle_rejects_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                 flags, message):
@@ -419,7 +425,8 @@ class TestOutputsAndCli:
             warnings.simplefilter("error", RuntimeWarning)
             assert cli_main(["oracle", "--suite", str(suite_path), "--pilot", "100"]) == 2
         captured = capsys.readouterr()
-        message = "suite 'ishigami-perfect': the pilot draw holds values that are not finite"
+        message = ("Ishigami parameters must be finite, got a=1e+308, b=1e+308, c=1.0, d=0.1, "
+                   "and keep their draws' range [-inf, inf] off float64's limit")
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_cli_oracle_rejects_a_constant_y(self, tmp_path, capsys):
@@ -500,11 +507,17 @@ class TestOutputsAndCli:
              "Ishigami parameters must be finite, got a=nan, b=0.1, c=1.0, d=0.1"),
             ({"suite": {"name": "ishigami-approx", "b": "inf"}},
              "Ishigami parameters must be finite, got a=5.0, b=inf, c=0.0, d=0.0"),
+            # unchecked, the first exploration draw raised a shape ValueError
+            ({"suite": {"name": "ishigami-perfect", "costs": [0.05]}},
+             "Ishigami costs need 2 entries, one per surrogate, got [0.05]"),
+            ({"suite": {"name": "ishigami-approx", "costs": [0.05, 0.001, 0.01]}},
+             "Ishigami costs need 2 entries, one per surrogate, got [0.05, 0.001, 0.01]"),
         ],
         ids=["duplicate-methods", "fixed-m-below-minimum", "ishigami-path",
              "budgets-string", "fixed_subset-string", "suite-costs-string",
              "expansion-list", "expansion-int", "cost_y-inf", "cost_y-nan",
-             "costs-negative-inf", "negative-seed", "ishigami-a-nan", "ishigami-b-inf"],
+             "costs-negative-inf", "negative-seed", "ishigami-a-nan", "ishigami-b-inf",
+             "ishigami-costs-short", "ishigami-costs-long"],
     )
     def test_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, edit, message):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
@@ -800,12 +813,26 @@ class TestOutputsAndCli:
 
         config = {"suite": {"name": "ishigami-perfect", "a": 1e308, "b": 1e308},
                   "methods": ["ecdf-y"], "budgets": [300.0], "oracle_samples": 1000}
-        message = "suite 'ishigami-perfect': the oracle draw holds values that are not finite"
+        message = ("Ishigami parameters must be finite, got a=1e+308, b=1e+308, c=1.0, d=0.1, "
+                   "and keep their draws' range [-inf, inf] off float64's limit")
         parsed = ExperimentConfig.from_dict(config)
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_oracle_measure(parsed, parsed.build_suite())
         err = self._rejected(tmp_path, capsys, monkeypatch, config)
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowing_ishigami_rejected_at_every_seed(self, tmp_path, capsys, monkeypatch,
+                                                         seed):
+        # the parameters alone decide it: unchecked, seeds 1 and 4 overflowed
+        # the one-sample oracle draw, and the others a cell's exploration draw
+        config = {"suite": {"name": "ishigami-perfect", "a": 1e308, "b": 1e307},
+                  "methods": ["ecdf-y", "aetc-d"], "budgets": [300.0], "oracle_samples": 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = self._rejected(tmp_path, capsys, monkeypatch, config, "run", "--seed", str(seed))
+        assert err.startswith("error: Ishigami parameters must be finite, got a=1e+308, b=1e+307")
+        assert err.count("\n") == 1
 
     OVERFLOW = "suite 'table+4feat': finite samples overflow the feature expansion"
 
@@ -1057,9 +1084,7 @@ class TestTableSuiteEquivalence:
 
         live = ishigami_suite("perfect")
         y, x = live.draw(np.random.default_rng(700), 100_000)
-        boot = table_suite(
-            SampleTable(y=y, x=x, cost_y=live.cost_y, costs=live.costs), name="boot"
-        )
+        boot = table_suite(SampleTable(y=y, x=x, cost_y=live.cost_y, costs=live.costs))
         oracle_y, _ = live.draw(np.random.default_rng(701), 500_000)
         oracle = EmpiricalMeasure.from_samples(oracle_y)
         bands = {}

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tracemalloc
 import warnings
 from functools import reduce
@@ -7,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfdist import models
 from mfdist.errors import ConfigError, TableParseError
@@ -87,6 +90,43 @@ class TestIshigamiSuite:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             ishigami_suite("exact")
+
+    # every float64 (NaN and infinities too), and magnitudes near float64's limit
+    _COEFFICIENT = st.one_of(
+        st.floats(),
+        st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                  st.floats(1.0, 10.0, exclude_max=True), st.integers(300, 308)),
+        st.just(0.0),
+    )
+    _MAX = np.finfo(np.float64).max
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(a=_COEFFICIENT, b=_COEFFICIENT, c=_COEFFICIENT, d=_COEFFICIENT)
+    @example(a=0.999 * _MAX, b=0.0, c=0.0, d=0.0)
+    @example(a=0.0, b=-0.999 * _MAX / np.pi**4, c=0.0, d=0.0)
+    @example(a=0.0, b=0.0, c=-0.999 * _MAX, d=0.0)
+    @example(a=-0.5 * _MAX, b=0.0, c=0.0, d=-0.499 * _MAX)
+    @example(a=-0.999 * _MAX, b=0.0, c=0.0, d=0.999 * _MAX)
+    def test_parameters_bound_every_draw(self, a, b, c, d):
+        # each term of a draw has a range that holds 0: a s2^2, s1, b z3^4 s1
+        # (|z3| <= pi), c s4^3 and d s5^4
+        spread = 1.0 + np.pi**4 * abs(b) + abs(c)
+        lo, hi = min(a, 0.0) - spread + min(d, 0.0), max(a, 0.0) + spread + max(d, 0.0)
+        for variant in ("perfect", "approx"):
+            try:
+                suite = ishigami_suite(variant, a, b, c, d)
+            except ConfigError:
+                assert not all(math.isfinite(v * (1.0 + 2.0**-49)) for v in (lo, hi))
+                continue
+            for request in (None, (0,), (1,), (2,), (1, 2)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    y, x = suite.draw(np.random.default_rng(0), 2000, request)
+                asked = [i - 1 for i in request or (1, 2) if i > 0]
+                for values in (y, None if x is None else x[:, asked]):
+                    if values is not None:
+                        assert np.isfinite(values).all()
+                        assert lo <= values.min() and values.max() <= hi
 
 
 def _bootstrap_table_suite():
@@ -492,9 +532,7 @@ class TestSampleTable:
     def test_bootstrap_matches_source_marginals(self):
         src = ishigami_suite("perfect")
         y, x = src.draw(np.random.default_rng(11), 100_000)
-        suite = table_suite(
-            SampleTable(y=y, x=x, cost_y=src.cost_y, costs=src.costs), name="boot"
-        )
+        suite = table_suite(SampleTable(y=y, x=x, cost_y=src.cost_y, costs=src.costs))
         yb, xb = suite.draw(np.random.default_rng(12), 100_000)
         assert np.mean(yb) == pytest.approx(np.mean(y), abs=0.05)
         assert np.std(yb) == pytest.approx(np.std(y), rel=0.02)
