@@ -27,8 +27,8 @@ from .measures import (
     sample_inverse_transform,
     wasserstein1,
 )
-from .models import ModelSuite, json_array, load_json_object, suite_from_config
-from .policy import COMMITTED, PolicyState, _affordable, exploit, run_aetc_d
+from .models import ModelSuite, json_array, json_number, load_json_object, suite_from_config
+from .policy import COMMITTED, PolicyState, _affordable, _open_ledger, exploit, run_aetc_d
 
 __all__ = [
     "ExperimentConfig",
@@ -81,7 +81,7 @@ def fixed_rate(method: str) -> int | None:
 # JSON value -> ExperimentConfig field, for every key but "suite"
 _CONFIG_FIELDS = {
     "methods": lambda v: tuple(json_array(v)),
-    "budgets": lambda v: tuple(float(b) for b in json_array(v)),
+    "budgets": lambda v: tuple(map(json_number, json_array(v))),
     "replicates": _integer,
     "eval_samples": _integer,
     "oracle_samples": _integer,
@@ -242,38 +242,19 @@ def run_fixed_m(
     subset: tuple[int, ...],
     rng: np.random.Generator,
 ) -> tuple[EmpiricalMeasure, PolicyState]:
-    """Deterministic variant: fixed exploration rate and a pinned subset."""
+    """Deterministic variant: fixed exploration rate and a pinned subset.
+
+    The m joint rounds open the ledger as aetc-d's first n+2 do
+    (BudgetExhaustedError if B cannot cover them); ``exploit`` spends the
+    rest (InfeasibleExploitationError if no draw of the subset fits).
+    """
     if m < len(subset) + 2:
         raise ConfigError(
             f"fixed exploration rate {m} is below the minimum {len(subset) + 2}"
         )
-    cost = m * suite.c_epr
-    if budget <= cost + suite.c_ept(subset):
-        raise BudgetExhaustedError(
-            f"budget {budget} cannot cover {m} exploration rounds plus exploitation"
-        )
-    y, x = suite.draw(rng, m)
-    state = PolicyState(budget=budget, y_epr=y, x_epr=x, spent=cost, phase=COMMITTED, chosen=subset)
+    state = _open_ledger(suite, budget, rng, m)
+    state.phase, state.chosen = COMMITTED, subset
     return exploit(state, suite, variant="standard", rng=rng), state
-
-
-def _run_method(
-    method: str,
-    suite: ModelSuite,
-    budget: float,
-    rng: np.random.Generator,
-    fixed_subset: tuple[int, ...] | None,
-    oracle: EmpiricalMeasure,
-) -> tuple[EmpiricalMeasure, PolicyState | None]:
-    m = fixed_rate(method)
-    if m is not None:
-        assert fixed_subset is not None
-        return run_fixed_m(suite, budget, m, fixed_subset, rng)
-    if method == "ecdf-y":
-        return run_ecdf_y(suite, budget, rng), None
-    if method == "oracle":
-        return oracle, None
-    return run_aetc_d(suite, budget, rng, variant=_NAMED_METHODS[method])
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +305,16 @@ def _run_cell(
         np.random.default_rng(child) for child in seed_seq.spawn(2)
     )
     row = ResultRow(method=method, budget=budget, replicate=replicate, seed=seed)
+    m = fixed_rate(method)
     try:
-        estimate, state = _run_method(
-            method, suite, budget, run_rng, config.fixed_subset, oracle
-        )
+        if m is not None:
+            estimate, state = run_fixed_m(suite, budget, m, config.fixed_subset, run_rng)
+        elif method == "ecdf-y":
+            estimate, state = run_ecdf_y(suite, budget, run_rng), None
+        elif method == "oracle":
+            estimate, state = oracle, None
+        else:
+            estimate, state = run_aetc_d(suite, budget, run_rng, variant=_NAMED_METHODS[method])
     except CellError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row

@@ -471,6 +471,13 @@ def json_array(value) -> list:
     return value
 
 
+def json_number(value) -> float:
+    """``float(value)``, refusing a JSON boolean; a string such as "inf" passes."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
     """``cost_y`` and ``costs`` from a table's cost metadata file."""
     meta = load_json_object(costs_path)
@@ -480,8 +487,8 @@ def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
             f"got {sorted(meta)}"
         )
     try:
-        return float(meta["cost_y"]), tuple(float(v) for v in json_array(meta["costs"]))
-    except (TypeError, ValueError):
+        return json_number(meta["cost_y"]), tuple(map(json_number, json_array(meta["costs"])))
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{costs_path}: cost_y must be a number and costs a list of numbers, "
             f"got {meta['cost_y']!r} and {meta['costs']!r}"
@@ -607,9 +614,9 @@ def suite_from_config(spec: dict) -> ModelSuite:
         suite = table_suite(SampleTable.from_csv(spec["path"], spec["costs_path"]))
     else:
         try:
-            kwargs = {k: float(v) for k, v in spec.items() if k not in ("name", "expansion", "costs")}
+            kwargs = {k: json_number(v) for k, v in spec.items() if k not in ("name", "expansion", "costs")}
             if "costs" in spec:
-                kwargs["costs"] = tuple(float(v) for v in json_array(spec["costs"]))
+                kwargs["costs"] = tuple(map(json_number, json_array(spec["costs"])))
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"suite config values must be numbers and 'costs' an array of them, got {spec!r}"

@@ -179,19 +179,19 @@ class PolicyState:
         return int(self.y_epr.size)
 
 
-def start_exploration(
-    suite: ModelSuite, budget: float, rng: np.random.Generator
-) -> PolicyState:
+def start_exploration(suite: ModelSuite, budget: float, rng: np.random.Generator) -> PolicyState:
     """Draw the mandatory n+2 initial joint samples and open the ledger."""
-    t0 = suite.n + 2
-    cost = t0 * suite.c_epr
-    if cost > budget:
-        raise BudgetExhaustedError(
-            f"budget {budget} cannot cover the {t0} initial exploration rounds "
-            f"(cost {cost})"
-        )
-    y, x = suite.draw(rng, t0)
-    return PolicyState(budget=budget, y_epr=y, x_epr=x, spent=cost)
+    return _open_ledger(suite, budget, rng, suite.n + 2)
+
+
+def _open_ledger(
+    suite: ModelSuite, budget: float, rng: np.random.Generator, rounds: int
+) -> PolicyState:
+    """The first ``rounds`` joint draws; BudgetExhaustedError before any if B cannot cover them."""
+    if _affordable(budget, 0.0, suite.c_epr) < rounds:
+        raise BudgetExhaustedError(f"budget {budget} cannot cover {rounds} exploration rounds")
+    y, x = suite.draw(rng, rounds)
+    return PolicyState(budget=budget, y_epr=y, x_epr=x, spent=rounds * suite.c_epr)
 
 
 def _k1(fit: FitResult, dim: int, root_variation: np.ndarray) -> float:
@@ -263,13 +263,14 @@ def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator)
 
     If the front-runner's estimated optimal rate exceeds 2t the exploration
     set doubles; if it lies in (t, 2t] the gap is halved; otherwise the
-    policy commits.  Exploration never exceeds M, the most rounds B affords; a
-    round that cannot make integer progress commits with the current front-runner.
+    policy commits.  Exploration never exceeds M, t plus the most rounds the ledger
+    still affords; a round that cannot make integer progress commits with the
+    current front-runner.
     """
     if state.phase != EXPLORING:
         raise PolicyError(f"cannot step a policy in phase {state.phase!r}")
     t = state.t
-    M = _affordable(state.budget, 0.0, suite.c_epr)
+    M = t + _affordable(state.budget, state.spent, suite.c_epr)  # what the ledger affords
     scores = score_subsets(state, suite)
     best = _argmin_rho(scores)
     exact = [s for s in scores if s.rank_ok and s.k1_hat == 0.0]
@@ -298,7 +299,10 @@ def aetc_d_step(state: PolicyState, suite: ModelSuite, rng: np.random.Generator)
         state.phase = COMMITTED
         state.chosen = best.subset
     else:
-        _take_samples(state, suite, rng, new_t - t)
+        y_new, x_new = suite.draw(rng, new_t - t)
+        state.y_epr = np.concatenate([state.y_epr, y_new])
+        state.x_epr = np.vstack([state.x_epr, x_new])
+        state.spent += (new_t - t) * suite.c_epr
     return state
 
 
@@ -322,20 +326,20 @@ def next_round_target(t: int, m_star: float, max_rounds: int) -> tuple[int, bool
 
 
 def _affordable(budget: float, spent: float, cost: float) -> int:
-    """The most draws at ``cost`` that ``spent`` can add without passing ``budget``."""
+    """The largest n with ``spent + n * cost <= budget`` in floats, as the ledger adds up."""
     n = int(np.floor((budget - spent) / cost))
+    # the quotient's two roundings, the test's two and, past 2**53, the count's own put n at
+    # most 5 * 2**-53 * budget / cost + 1 off: gallop down until n fits, then up, in O(log) steps
+    step = 1
     while n > 0 and spent + n * cost > budget:
-        n -= 1  # floating-point dust must never overdraw the ledger
+        n, step = max(n - step, 0), 2 * step  # floating-point dust must never overdraw
+    step = 1
+    while step:  # step 1 fails last: n + 1 does not fit
+        if spent + (n + step) * cost <= budget:
+            n, step = n + step, 2 * step
+        else:
+            step //= 2
     return n
-
-
-def _take_samples(
-    state: PolicyState, suite: ModelSuite, rng: np.random.Generator, count: int
-) -> None:
-    y_new, x_new = suite.draw(rng, count)
-    state.y_epr = np.concatenate([state.y_epr, y_new])
-    state.x_epr = np.vstack([state.x_epr, x_new])
-    state.spent += count * suite.c_epr
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +357,13 @@ def exploit(
     """Spend the remaining budget sampling the committed subset.
 
     Draws N fresh samples of the subset's surrogates only (each costing its
-    exploitation rate; Y is never evaluated), evaluates the regression
-    emulator on them, and returns the resulting empirical measure.  Variants: ``standard`` adds a
-    uniformly resampled exploration residual to each draw, ``no-noise`` adds
-    nothing, ``quantile`` evaluates per-level coefficients at levels drawn
-    uniformly from a fixed grid.  Exploration samples are never recycled.
+    exploitation rate; Y is never evaluated), N the most that fit in what
+    exploration left (InfeasibleExploitationError if none does, for aetc-d and
+    fixed-m alike), evaluates the regression emulator on them, and returns the
+    resulting empirical measure.  Variants: ``standard`` adds a uniformly
+    resampled exploration residual to each draw, ``no-noise`` adds nothing,
+    ``quantile`` evaluates per-level coefficients at levels drawn uniformly
+    from a fixed grid.  Exploration samples are never recycled.
     """
     if state.phase != COMMITTED or state.chosen is None:
         raise PolicyError(f"cannot exploit from phase {state.phase!r}")

@@ -25,7 +25,12 @@ from mfdist.bench import (
     write_summary_csv,
 )
 from mfdist.cli import main as cli_main
-from mfdist.errors import BudgetExhaustedError, ConfigError, QuantileSolverError
+from mfdist.errors import (
+    BudgetExhaustedError,
+    ConfigError,
+    InfeasibleExploitationError,
+    QuantileSolverError,
+)
 from mfdist.models import SampleTable, ishigami_suite
 from mfdist.regress import quantile_fit
 
@@ -113,6 +118,18 @@ class TestRunFixedM:
         with pytest.raises(BudgetExhaustedError):
             run_fixed_m(ishigami_suite("perfect"), 5.0, 10, (1,), np.random.default_rng(5))
 
+    def test_exact_fit_budget(self):
+        # B = m * c_epr + c_ept(S) = 4 * 1.75 + 0.5: the ledger affords the one draw
+        suite = ishigami_suite("perfect", cost_y=1.0, costs=(0.5, 0.25))
+        est, state = run_fixed_m(suite, 7.5, 4, (1,), np.random.default_rng(6))
+        assert est.size == 1 and state.spent == 7.5
+
+    def test_no_exploitation_draw_fits(self):
+        # the m rounds fit but no draw of S does: tagged as aetc-d's would be
+        suite = ishigami_suite("perfect", cost_y=1.0, costs=(0.5, 0.25))
+        with pytest.raises(InfeasibleExploitationError):
+            run_fixed_m(suite, 7.4, 4, (1,), np.random.default_rng(6))
+
 
 class TestRunExperiment:
     def test_single_row(self):
@@ -163,6 +180,20 @@ class TestRunExperiment:
         failed = [r for r in rows if r.failed]
         assert len(failed) == 2
         assert all("BudgetExhaustedError" in r.error for r in failed)
+
+    def test_ledger_leaves_less_than_one_exploitation_draw(self):
+        # a floor of (B - spent) / c_ept alone left one c_ept unspent in the
+        # aetc-d cell at B = 60, replicate 2, and in every fixed-m:4 cell at B = 20
+        cfg = ExperimentConfig.from_dict({
+            "suite": {"name": "ishigami-approx"}, "methods": ["aetc-d", "fixed-m:4"],
+            "fixed_subset": [2], "budgets": [20.0, 60.0, 200.0], "replicates": 4,
+            "eval_samples": 20, "oracle_samples": 1000, "seed": 0,
+        })
+        rows, _ = run_experiment(cfg)
+        suite = cfg.build_suite()
+        assert len(rows) == 24 and not any(r.failed for r in rows)
+        for r in rows:
+            assert 0.0 <= r.budget - r.spend < suite.c_ept(r.subset), r.run_id()
 
     def test_numerical_failures_are_tagged_on_their_cell(self, monkeypatch):
         # the pinball fit of one aetc-d-q replicate fails; the run completes
@@ -512,12 +543,21 @@ class TestOutputsAndCli:
              "Ishigami costs need 2 entries, one per surrogate, got [0.05]"),
             ({"suite": {"name": "ishigami-approx", "costs": [0.05, 0.001, 0.01]}},
              "Ishigami costs need 2 entries, one per surrogate, got [0.05, 0.001, 0.01]"),
+            # JSON booleans are not numbers; float() took true as 1.0
+            ({"budgets": [True]}, "config key 'budgets' has an invalid value [True]"),
+            *(({"suite": {"name": "ishigami-perfect", key: False}},
+               "suite config values must be numbers and 'costs' an array of them")
+              for key in ("a", "b", "c", "d", "cost_y")),
+            ({"suite": {"name": "ishigami-perfect", "costs": [0.05, True]}},
+             "suite config values must be numbers and 'costs' an array of them"),
         ],
         ids=["duplicate-methods", "fixed-m-below-minimum", "ishigami-path",
              "budgets-string", "fixed_subset-string", "suite-costs-string",
              "expansion-list", "expansion-int", "cost_y-inf", "cost_y-nan",
              "costs-negative-inf", "negative-seed", "ishigami-a-nan", "ishigami-b-inf",
-             "ishigami-costs-short", "ishigami-costs-long"],
+             "ishigami-costs-short", "ishigami-costs-long", "budgets-bool",
+             "ishigami-a-bool", "ishigami-b-bool", "ishigami-c-bool", "ishigami-d-bool",
+             "cost_y-bool", "costs-bool"],
     )
     def test_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, edit, message):
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],

@@ -529,6 +529,20 @@ class TestSampleTable:
             assert str(info.value).startswith(f"{costs_path}: "), meta
             assert message in str(info.value), meta
 
+    @pytest.mark.parametrize(
+        "meta",
+        ['{"cost_y": true, "costs": [0.5, 0.25]}', '{"cost_y": 2.0, "costs": [0.5, false]}',
+         '{"cost_y": 2.0, "costs": [0.5, 1%s]}' % ("0" * 400)],
+        ids=["cost_y-bool", "costs-bool", "costs-past-float"],
+    )
+    def test_cost_metadata_refuses_non_numbers(self, tmp_path, meta):
+        # float() took a boolean as 0 or 1, and raised OverflowError, which
+        # no caller handled, for an integer past float64's range
+        csv_path, costs_path = self.write_table(tmp_path, ["1.0,2.0,3.0"])
+        costs_path.write_text(meta)
+        with pytest.raises(ConfigError, match="cost_y must be a number and costs a list of numbers"):
+            SampleTable.from_csv(csv_path, costs_path)
+
     def test_bootstrap_matches_source_marginals(self):
         src = ishigami_suite("perfect")
         y, x = src.draw(np.random.default_rng(11), 100_000)

@@ -3,6 +3,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mfdist.errors import BudgetExhaustedError, InfeasibleExploitationError, PolicyError
@@ -22,6 +24,7 @@ from mfdist.policy import (
     EXPLORING,
     PolicyState,
     SubsetScore,
+    _affordable,
     aetc_d_step,
     efficiency_ratio,
     exploit,
@@ -308,6 +311,53 @@ class TestScheduleArithmetic:
         assert next_round_target(15, 50.0, 15) == (15, True)
 
 
+@st.composite
+def _ledgers(draw, max_count):
+    """(budget, spent, cost): a spent share (none, whole rounds or any float),
+    then the budget spent + fl(k * cost) for a count k <= max_count, exact or
+    moved a few ulps either way; budget / cost stays below 2**63."""
+    cost = draw(st.floats(2.0**-30, 2.0**10))
+    spent = draw(st.one_of(
+        st.just(0.0),
+        st.builds(lambda j: j * cost, st.integers(0, 2**60)),
+        st.builds(lambda f: f * cost, st.floats(0.0, 2.0**60)),
+    ))
+    budget = spent + draw(st.integers(0, max_count)) * cost
+    toward = draw(st.sampled_from([0.0, np.inf]))
+    for _ in range(draw(st.integers(0, 3))):
+        budget = float(np.nextafter(budget, toward))
+    assume(budget >= spent)
+    return budget, spent, cost
+
+
+class TestAffordable:
+    """_affordable(budget, spent, cost) is the largest n with
+    spent + n * cost <= budget in floats, the sum the ledger adds."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(ledger=_ledgers(2**52 - 1))
+    # fixed-m:4 on ishigami-perfect, subset (2,), at B = 20: 15796 draws fit,
+    # and the floor of the quotient, 15795.999999999998, buys one fewer
+    @example(ledger=(20.0, 4 * ishigami_suite("perfect").c_epr, 0.001))
+    @example(ledger=(7.5, 7.0, 0.5))
+    def test_largest_count_that_fits(self, ledger):
+        budget, spent, cost = ledger
+        n = _affordable(budget, spent, cost)
+        assert n >= 0
+        assert spent + n * cost <= budget < spent + (n + 1) * cost
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(ledger=_ledgers(int(np.iinfo(np.intp).max)))
+    def test_counts_up_to_intp_max(self, ledger):
+        # never an overdraw, and n lies within the quotient's proven rounding
+        # error, so the two gallops return after O(log) steps
+        budget, spent, cost = ledger
+        n = _affordable(budget, spent, cost)
+        assert 0 <= n and spent + n * cost <= budget < spent + (n + 1) * cost
+        quotient = int(np.floor((budget - spent) / cost))
+        assert abs(n - quotient) <= 5 * 2.0**-53 * budget / cost + 1
+
+
 class TestAetcdStep:
     def test_initial_sample_count(self):
         suite = linear_gaussian_suite()
@@ -371,6 +421,24 @@ class TestAetcdStep:
         while state.phase == EXPLORING:
             aetc_d_step(state, suite, rng)
         assert state.chosen == (2,)
+
+    def test_exploration_stays_inside_the_ledger(self):
+        # a constant surrogate leaves every design rank-deficient, so no subset
+        # is ever scorable and exploration doubles to its cap.  A cap of the 45
+        # rounds that fl(45 * 1.02) <= 45.9 allows, taken as 3, 6, 12, 24, 45,
+        # adds up to 45.900000000000006; the cap the ledger still affords takes
+        # 24, 44, 45 and ends at 45.9
+        def sample(rng, size, models):
+            return rng.normal(size=size), np.ones((size, 1))
+
+        suite = ModelSuite(name="flat", cost_y=1.0, costs=(0.02,), sampler=sample)
+        rng = np.random.default_rng(9)
+        state = start_exploration(suite, 45.9, rng)
+        with pytest.raises(PolicyError, match="unscorable at the maximum exploration rate"):
+            while True:
+                aetc_d_step(state, suite, rng)
+                assert state.spent <= state.budget
+        assert state.t == 45 and state.spent == 45.9
 
     def test_cannot_step_after_commit(self):
         suite = linear_gaussian_suite()
