@@ -150,9 +150,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not 0.0 < args.budget < np.inf:  # nan fails both comparisons
         raise ConfigError(f"--budget must be positive and finite, got {args.budget}")
     suite = suite_from_config(load_json_object(args.suite))
-    if args.pilot * (suite.n + 1) * 8 > (memory := _physical_memory()):  # the joint draw
+    # pilot_statistics' traced peak a row: the joint draw's n + 1 floats, two
+    # for each column of the widest design (it and the fit's copy of it) and
+    # two more, plus one of slack (traced: 8.0 a row at n = 1, 10.4 for
+    # ishigami-perfect, 61.5 at n = 6 with quadratic interactions)
+    floats = suite.n + 1 + 2 * len(suite.feature_map.columns(tuple(range(1, suite.n + 1)))) + 3
+    if args.pilot * floats * 8 > (memory := _physical_memory()):
         raise ConfigError(f"--pilot must fit in the {memory:.3g} bytes of physical memory "
-                          f"as {suite.n + 1} float64 values a row, got {args.pilot}")
+                          f"as {floats} float64 values a row, got {args.pilot}")
     pilot = pilot_statistics(suite, args.pilot, np.random.default_rng(args.seed))
     budget = args.budget
     s_opt, m_star, g_star = oracle_optimum(pilot["k1"], pilot["k2"], budget, suite.c_epr)

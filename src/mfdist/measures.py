@@ -55,9 +55,12 @@ class EmpiricalMeasure:
             raise ValueError("atoms must be one-dimensional")
         if atoms.size == 0:
             raise ValueError("an empirical measure needs at least one atom")
-        if not np.all(np.isfinite(atoms)):
+        # checked over slices of _BLOCK_ROWS atoms, each overlapping the next by
+        # one atom, so no check builds an N-byte boolean array
+        parts = [atoms[i:i + _BLOCK_ROWS + 1] for i in range(0, atoms.size, _BLOCK_ROWS)]
+        if not all(np.isfinite(part).all() for part in parts):
             raise ValueError("atoms must be finite")
-        if np.any(atoms[1:] < atoms[:-1]):
+        if any((part[1:] < part[:-1]).any() for part in parts):
             raise ValueError("atoms must be sorted non-decreasing")
         atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,9 +47,27 @@ _BLOCK_ROWS = 8192
 # a monomial in the low-fidelity outputs: ((model_index, power), ...), 1-based
 Monomial = tuple[tuple[int, int], ...]
 
-# (y, x) of one draw; see ModelSuite for the sampler protocol
+# (y, x) of one draw or one block of rows; see ModelSuite for the sampler protocol
 Drawn = tuple[np.ndarray | None, np.ndarray | None]
-Sampler = Callable[[np.random.Generator, int, tuple[int, ...]], Drawn]
+Sampler = Callable[[np.random.Generator, int, tuple[int, ...]], Iterable[Drawn]]
+
+
+def _row_blocks(size: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of _BLOCK_ROWS rows of a ``size``-row draw.
+    A lone last row joins the block before it, because numpy takes a one-row
+    product as a dot, which rounds otherwise than the one-shot product."""
+    start = 0
+    while start < size:
+        stop = size if size - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
+        yield start, stop
+        start = stop
+
+
+def _indices(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
+    """``rng.integers(0, high, size)``, as int32 where ``high`` allows: the
+    same values as int64 in half the bytes, leaving the generator where the
+    int64 draw would (both take the buffered 32-bit draws below 2**32)."""
+    return rng.integers(0, high, size=size, dtype=np.int32 if high <= 2**31 else np.int64)
 
 
 def all_subsets(n: int) -> list[tuple[int, ...]]:
@@ -132,18 +150,19 @@ class ModelSuite:
     """Joint sampler of (Y, X1..Xn) plus cost and feature metadata.
 
     ``sampler(rng, size, models)`` draws ``size`` joint rows of the models
-    in ``models``, a sorted tuple of indices (0 for Y, i for Xi), and
-    returns ``(y, x)`` with y of shape (size,) if 0 is asked for and x of
-    shape (size, n) if a surrogate is.  Whatever it returns for a model not
-    asked for goes unused; the built-in samplers do not compute it (None
-    for y, NaN columns in x).  It must use the generator exactly as a joint
-    draw does, whatever is asked, so a request returns the joint draw's
-    columns bit for bit and leaves the stream where the joint draw would.
-    A sampler may work in row blocks only if the blocks consume the generator
-    exactly as one joint draw does: the Ishigami samplers do, because PCG64
-    spends one 64-bit output on each uniform double; the table sampler does
-    not, because ``rng.integers`` below 2**32 takes buffered 32-bit draws,
-    which split calls would shift.
+    in ``models``, a sorted tuple of indices (0 for Y, i for Xi), and returns
+    an iterable of row blocks in order, each ``(y, x)`` with y of shape
+    (rows,) if 0 is asked for and x of shape (rows, n) if a surrogate is.
+    Whatever a block holds for a model not asked for goes unused; the
+    built-in samplers do not compute it (None for y, NaN columns in x).
+    Together the blocks must use the generator exactly as one joint draw
+    does, whatever is asked, so a request returns the joint draw's columns
+    bit for bit and leaves the stream where the joint draw would.  The
+    Ishigami samplers draw each block's own uniforms, because PCG64 spends
+    one 64-bit output on each uniform double; the table sampler draws all
+    its row indices in one call, because ``rng.integers`` below 2**32 takes
+    buffered 32-bit draws, which split calls would shift.  Both yield fresh
+    arrays, so a consumer may keep a block, of at most _BLOCK_ROWS + 1 rows.
     Draws across calls are iid continuations of the generator's stream.  A
     single generator must not be shared across threads; spawn independent
     streams per worker instead.
@@ -186,30 +205,69 @@ class ModelSuite:
         """Cost of one exploitation round of a subset (feature expansion is free)."""
         return float(sum(self.costs[i - 1] for i in subset))
 
+    def blocks(
+        self, rng: np.random.Generator, size: int, models: tuple[int, ...] | None = None
+    ) -> Iterator[Drawn]:
+        """``size`` joint rows of the ``models`` asked for (default: all), as
+        the sampler's row blocks in order.
+
+        Each block is ``(y, x)`` as :meth:`draw` returns them; ValueError if a
+        block's shapes or the total row count differ from what was asked.
+        """
+        models = self._asked(models)
+        return _checked_blocks(self.sampler(rng, size, models), size, models, self.n)
+
     def draw(
         self, rng: np.random.Generator, size: int, models: tuple[int, ...] | None = None
     ) -> Drawn:
         """``size`` joint rows of the ``models`` asked for (default: all).
 
-        Returns ``(y, x)`` as the sampler protocol describes, with y None
-        unless 0 is asked for and x None unless a surrogate is.
+        Returns ``(y, x)`` joined from :meth:`blocks`, with y None unless 0 is
+        asked for and x None unless a surrogate is.
         """
+        models = self._asked(models)
+        y = np.empty(size) if models[0] == 0 else None
+        x = np.empty((size, self.n)) if models[-1] > 0 else None
+        start = 0
+        for y_rows, x_rows in self.blocks(rng, size, models):
+            stop = start + len(x_rows if y is None else y_rows)
+            if y is not None:
+                y[start:stop] = y_rows
+            if x is not None:
+                x[start:stop] = x_rows
+            start = stop
+            del y_rows, x_rows  # before the sampler makes the next block
+        return y, x
+
+    def _asked(self, models: tuple[int, ...] | None) -> tuple[int, ...]:
         models = tuple(range(self.n + 1)) if models is None else tuple(sorted(set(models)))
         if not models or models[0] < 0 or models[-1] > self.n:
             raise ValueError(f"models must be a nonempty subset of 0..{self.n}, got {models}")
-        y, x = self.sampler(rng, size, models)
-        y = np.asarray(y, dtype=np.float64) if models[0] == 0 else None
-        x = np.asarray(x, dtype=np.float64) if models[-1] > 0 else None
-        if y is not None and y.shape != (size,):
-            raise ValueError(f"sampler returned y of shape {y.shape}; expected ({size},)")
-        if x is not None and x.shape != (size, self.n):
-            raise ValueError(
-                f"sampler returned x of shape {x.shape}; expected ({size}, {self.n})"
-            )
-        return y, x
+        return models
 
     def subsets(self) -> list[tuple[int, ...]]:
         return all_subsets(self.n)
+
+
+def _checked_blocks(
+    blocks: Iterable[Drawn], size: int, models: tuple[int, ...], n: int
+) -> Iterator[Drawn]:
+    done = 0
+    for y, x in blocks:
+        y = np.asarray(y, dtype=np.float64) if models[0] == 0 else None
+        x = np.asarray(x, dtype=np.float64) if models[-1] > 0 else None
+        rows = len(x if y is None else y)
+        if y is not None and y.shape != (rows,):
+            raise ValueError(f"sampler yielded y of shape {y.shape}; expected ({rows},)")
+        if x is not None and x.shape != (rows, n):
+            raise ValueError(f"sampler yielded x of shape {x.shape}; expected ({rows}, {n})")
+        done += rows
+        if done > size:
+            raise ValueError(f"sampler yielded more than the {size} rows asked for")
+        yield y, x
+        del y, x  # the consumer owns the block; hold it no longer
+    if done != size:
+        raise ValueError(f"sampler yielded {done} rows; expected {size}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +282,14 @@ def _blank_unasked(x: np.ndarray, models: tuple[int, ...]) -> np.ndarray:
 
 
 def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> Sampler:
-    # A draw runs in blocks of _BLOCK_ROWS rows, each drawing its own (rows, 5)
-    # uniforms.  PCG64 spends one 64-bit output on each uniform double and all
-    # later work is elementwise, so the blocks draw the one-shot draw's values
-    # bit for bit and leave the generator where it would.  Beside its output a
-    # draw holds three scratch rows and a block's uniforms (two while the next
-    # block's are drawn).  Powers are products (z^4 = (z*z)^2,
-    # sin^3 = (s*s)*s), not libm pow, built with in-place ufuncs.  Y is one
-    # chain of partial sums,
+    # A draw yields blocks of _BLOCK_ROWS rows (see _row_blocks), each drawing
+    # its own (rows, 5) uniforms into fresh outputs.  PCG64 spends one 64-bit
+    # output on each uniform double and all later work is elementwise, so the
+    # blocks draw the one-shot draw's values bit for bit and leave the
+    # generator where it would.  Beside the block it yields, a draw holds
+    # three scratch rows and, while it computes, the block's uniforms.  Powers
+    # are products (z^4 = (z*z)^2, sin^3 = (s*s)*s), not libm pow, built with
+    # in-place ufuncs.  Y is one chain of partial sums,
     #   Y = a s2^2 + s1 + b z3^4 s1 + c s4^3 + d s5^4,
     # which the perfect variant's X2 and X1 copy out of; the approx variant
     # builds its two heads k s2^2 + s1 + t apart.  The chain stops at the last
@@ -240,8 +298,10 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
     # A term with coefficient 0 is skipped, moving at most an exact zero's sign.
     perfect = variant == "perfect"
 
-    def block(z, scratch, y, x, models) -> None:
-        s1, s2sq, term = scratch
+    def block(z, scratch, models) -> Drawn:
+        y = np.empty(len(z)) if models[0] == 0 else None
+        x = _blank_unasked(np.empty((len(z), 2)), models) if models[-1] > 0 else None
+        s1, s2sq, term = scratch[:, :len(z)]
         np.sin(z[:, 0], out=s1)
         np.sin(z[:, 1], out=s2sq)
         s2sq *= s2sq
@@ -258,7 +318,7 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
             term *= s1
             head(0.6 * a, x[:, 1])
         if not perfect and models[0] > 1:
-            return
+            return y, x
         np.multiply(z[:, 2], z[:, 2], out=term)  # t = b z3^4 s1, in Y and approx's X1
         term *= term
         term *= b
@@ -266,12 +326,12 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
         if not perfect and 1 in models:
             head(0.95 * a, x[:, 0])
         if not perfect and models[0] > 0:
-            return
+            return y, x
         part = head(a, s2sq if y is None else y)
         if perfect and 2 in models:
             x[:, 1] = part
         if models[0] > 1:
-            return
+            return y, x
         if c != 0.0:
             np.sin(z[:, 3], out=term)
             cube = np.multiply(term, term, out=s1)
@@ -281,26 +341,19 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
         if perfect and 1 in models:
             x[:, 0] = part
         if models[0] > 0:
-            return
+            return y, x
         if d != 0.0:
             np.sin(z[:, 4], out=term)
             term *= term
             term *= term
             term *= d
             part += term
-
-    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
-        y = np.empty(size) if models[0] == 0 else None
-        x = _blank_unasked(np.empty((size, 2)), models) if models[-1] > 0 else None
-        scratch = np.empty((3, min(size, _BLOCK_ROWS)))
-        for start in range(0, size, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, size))
-            z = rng.uniform(-np.pi, np.pi, size=(rows.stop - start, 5))
-            block(
-                z, scratch[:, :len(z)],
-                None if y is None else y[rows], None if x is None else x[rows], models,
-            )
         return y, x
+
+    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Iterator[Drawn]:
+        scratch = np.empty((3, min(size, _BLOCK_ROWS + 1)))
+        for start, stop in _row_blocks(size):
+            yield block(rng.uniform(-np.pi, np.pi, size=(stop - start, 5)), scratch, models)
 
     return sample
 
@@ -576,11 +629,12 @@ def table_suite(table: SampleTable) -> ModelSuite:
     if table.rows == 0:
         raise TableParseError("cannot build a suite from an empty table")
 
-    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Drawn:
-        idx = rng.integers(0, table.rows, size=size)
-        y = table.y[idx] if models[0] == 0 else None
-        x = _blank_unasked(table.x[idx], models) if models[-1] > 0 else None
-        return y, x
+    def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Iterator[Drawn]:
+        idx = _indices(rng, table.rows, size)
+        for start, stop in _row_blocks(size):
+            rows = idx[start:stop]
+            yield (table.y[rows] if models[0] == 0 else None,
+                   _blank_unasked(table.x[rows], models) if models[-1] > 0 else None)
 
     return ModelSuite(name="table", cost_y=table.cost_y, costs=table.costs, sampler=sample)
 

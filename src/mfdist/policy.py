@@ -22,7 +22,7 @@ from .errors import (
     PolicyError,
 )
 from .measures import EmpiricalMeasure, _cdf_variation, _j1, j_functionals
-from .models import _BLOCK_ROWS, ModelSuite
+from .models import _BLOCK_ROWS, ModelSuite, _indices
 from .regress import FitResult, _ols, ols_fit, quantile_fit
 
 __all__ = [
@@ -384,30 +384,35 @@ def exploit(
     else:
         fit = ols_fit(Z, state.y_epr)
     # draw order is part of the determinism contract: surrogate inputs first,
-    # then the level or noise indices, each in one call
-    _, x = suite.draw(rng, n_exploit, subset)
+    # then the level or noise indices, each in one call.  The inputs stream in
+    # row blocks, each predicted as it arrives, so neither the N-row inputs nor
+    # their design ever exist; the level indices must follow every input, so
+    # the quantile variant keeps the blocks until they are drawn
+    blocks = suite.blocks(rng, n_exploit, subset)
     if variant == "quantile":
-        level_idx = rng.integers(0, k, size=n_exploit)
-    # the design is built and applied a block of rows at a time, so it never
-    # holds all N rows, and each row's prediction is the one-shot product's;
-    # a lone last row joins the block before it, because numpy takes a
-    # one-row product as a dot, which rounds otherwise
+        blocks = list(blocks)
+        level_idx = _indices(rng, k, n_exploit)
     values = np.empty(n_exploit)
     start = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows once sorted
-        while start < n_exploit:
-            stop = n_exploit if n_exploit - start <= _BLOCK_ROWS + 1 else start + _BLOCK_ROWS
-            Z = suite.feature_map.design(x[start:stop], subset)
+    for _, x in blocks:
+        stop = start + len(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows once sorted
+            Z = suite.feature_map.design(x, subset)
             if variant == "quantile":
                 values[start:stop] = levels.predict(Z, level_idx[start:stop])
+            elif stop - start == 1 < n_exploit:
+                # numpy takes a one-row product as a dot, which rounds otherwise
+                # than the one-shot product; the built-in samplers yield no lone row
+                values[start] = (np.vstack([Z, Z]) @ fit.beta_hat)[0]
             else:
                 np.matmul(Z, fit.beta_hat, out=values[start:stop])
-            start = stop
-    del x  # before the noise indices arrive, whose residuals are added a block at a time
+        start = stop
+        del x, Z  # before the sampler makes the next block
     if variant == "standard":
-        noise_idx = rng.integers(0, fit.residuals.size, size=n_exploit)
+        noise_idx = _indices(rng, fit.residuals.size, n_exploit)
         for lo in range(0, n_exploit, _BLOCK_ROWS):
             values[lo:lo + _BLOCK_ROWS] += fit.residuals[noise_idx[lo:lo + _BLOCK_ROWS]]
+        del noise_idx  # before the measure is built
     values.sort()  # in place; NaN sorts last, so the ends show any value that is not finite
     if not np.isfinite(values[[0, -1]]).all():
         raise PolicyError(f"suite {suite.name!r}: an exploitation prediction is not finite")

@@ -2,15 +2,19 @@
 
 Everything here deliberately avoids the package's own computational paths:
 brute-force enumeration, closed forms, quadrature, and high-precision
-arithmetic stand on their own so agreement is meaningful.  The last two
-helpers build test inputs: a design with an intercept, and a table on disk.
+arithmetic stand on their own so agreement is meaningful.  The last three
+helpers serve the tests themselves: a design with an intercept, a table on
+disk, and a tracemalloc measurement of a block's memory.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -470,3 +474,20 @@ def write_table(table, path, costs_path) -> None:
             writer.writerow([repr(float(yi))] + [repr(float(v)) for v in xi])
     with open(costs_path, "w", encoding="utf-8") as fh:
         json.dump({"cost_y": table.cost_y, "costs": list(table.costs)}, fh)
+
+
+@contextmanager
+def traced_peak():
+    """Trace the allocations of the ``with`` block.  On exit the yielded
+    namespace holds ``peak``, the most bytes the block held at once beyond
+    what was traced at its start, and ``held``, the bytes it still holds."""
+    traced = SimpleNamespace(peak=0, held=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        yield traced
+        current, peak = tracemalloc.get_traced_memory()
+        traced.peak, traced.held = peak - before, current - before
+    finally:
+        tracemalloc.stop()

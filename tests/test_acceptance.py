@@ -382,7 +382,7 @@ def random_run_suite(rng) -> ModelSuite:
     def sample(r, size, models, coef=coef, noise=noise, n=n):
         x = r.normal(size=(size, n))
         y = 1.0 + x @ coef + noise * r.normal(size=size)
-        return y, x
+        yield y, x
 
     suite = ModelSuite(
         name=f"lin{n}",
@@ -440,7 +440,7 @@ def heteroscedastic_suite() -> ModelSuite:
         x1 = rng.uniform(0.0, 2.0, size)
         eta = rng.uniform(-1.0, 1.0, size)
         y = x1 + np.abs(x1) * eta
-        return y, x1[:, None]
+        yield y, x1[:, None]
 
     return ModelSuite(name="hetero", cost_y=1.0, costs=(0.02,), sampler=sample)
 

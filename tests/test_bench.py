@@ -3,7 +3,7 @@ import hashlib
 import json
 import os
 import re
-import tracemalloc
+import resource
 import warnings
 
 import numpy as np
@@ -29,14 +29,25 @@ from mfdist.errors import (
     BudgetExhaustedError,
     ConfigError,
     InfeasibleExploitationError,
+    MfdistError,
     QuantileSolverError,
 )
-from mfdist.models import SampleTable, ishigami_suite
+from mfdist.models import _BLOCK_ROWS, SampleTable, ishigami_suite
 from mfdist.regress import quantile_fit
 
-from oracles import write_table
+from oracles import traced_peak, write_table
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def fake_address_space_limit(monkeypatch, soft) -> None:
+    """Make ``resource.getrlimit`` report ``soft`` as the RLIMIT_AS soft
+    limit; no real limit is set."""
+    real = resource.getrlimit
+    monkeypatch.setattr(
+        resource, "getrlimit",
+        lambda which: (soft, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which),
+    )
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -432,7 +443,7 @@ class TestOutputsAndCli:
             # unchecked, numpy refused the 24 TB joint draw with a traceback
             (["--pilot", str(10**12)],
              f"--pilot must fit in the {PHYSICAL_MEMORY:.3g} bytes of physical memory as "
-             f"3 float64 values a row, got {10**12}"),
+             f"12 float64 values a row, got {10**12}"),
         ],
         ids=["seed-negative", "pilot-zero", "pilot-negative", "budget-negative",
              "budget-nan", "budget-inf", "pilot-past-memory"],
@@ -441,6 +452,7 @@ class TestOutputsAndCli:
                                                 flags, message):
         import mfdist.cli
 
+        fake_address_space_limit(monkeypatch, resource.RLIM_INFINITY)
         monkeypatch.setattr(mfdist.cli, "pilot_statistics", lambda *a: pytest.fail("drew"))
         suite_path = tmp_path / "suite.json"
         suite_path.write_text(json.dumps({"name": "ishigami-perfect"}))
@@ -448,6 +460,35 @@ class TestOutputsAndCli:
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "spec, floats",
+        [({"name": "ishigami-perfect"}, 12),
+         ({"name": "ishigami-approx", "expansion": "L"}, 20)],
+        ids=["perfect", "approx-L"],
+    )
+    def test_cli_oracle_pilot_bound_is_the_pilot_peak(self, tmp_path, capsys, monkeypatch,
+                                                      spec, floats):
+        # pilot_statistics peaks at 10.4 float64 values a row on
+        # ishigami-perfect and 16.9 with the L expansion, 3.5 and 5.6 times
+        # the joint draw that alone bounded --pilot
+        import mfdist.cli
+
+        def reached(*args):
+            raise MfdistError("reached the pilot draw")
+
+        fake_address_space_limit(monkeypatch, resource.RLIM_INFINITY)
+        monkeypatch.setattr(mfdist.cli, "pilot_statistics", reached)
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(spec))
+        limit = PHYSICAL_MEMORY // (8 * floats)
+        for pilot, err in [
+            (limit, "error: reached the pilot draw\n"),
+            (limit + 1, f"error: --pilot must fit in the {PHYSICAL_MEMORY:.3g} bytes of physical "
+                        f"memory as {floats} float64 values a row, got {limit + 1}\n"),
+        ]:
+            assert cli_main(["oracle", "--suite", str(suite_path), "--pilot", str(pilot)]) == 2
+            assert capsys.readouterr().err == err
 
     def test_cli_oracle_rejects_an_overflowing_pilot(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"
@@ -613,25 +654,61 @@ class TestOutputsAndCli:
                             lambda *a: pytest.fail("the oracle was built"))
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
                   "budgets": [300.0], "replicates": 1, key: 10**12}
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             err = self._rejected(tmp_path, capsys, monkeypatch, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        size = {"eval_samples": "13 float64 values a sample", "oracle_samples": "float64"}[key]
         assert err.startswith(f"error: {key} must be >= 1 and fit in the ")
-        assert err.endswith(f"bytes of physical memory as float64, got {10**12}\n")
+        assert err.endswith(f"bytes of physical memory as {size}, got {10**12}\n")
         assert err.count("\n") == 1
-        assert peak < 2**20, peak
+        assert traced.peak < 2**20, traced.peak
 
-    def test_sample_count_limit_is_physical_memory(self):
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    def test_sample_count_limit_is_physical_memory(self, monkeypatch):
+        # a sampled evaluation holds 13 float64 values a sample at once, the oracle 1
+        fake_address_space_limit(monkeypatch, resource.RLIM_INFINITY)
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
-        for key in ("eval_samples", "oracle_samples"):
-            ExperimentConfig.from_dict({**config, key: memory // 8})  # builds no array
-            for count in (0, memory // 8 + 1):
+        for key, floats in (("eval_samples", 13), ("oracle_samples", 1)):
+            limit = PHYSICAL_MEMORY // (8 * floats)
+            ExperimentConfig.from_dict({**config, key: limit})  # builds no array
+            for count in (0, limit + 1):
                 with pytest.raises(ConfigError, match=f"{key} must be >= 1 and fit in the "):
                     ExperimentConfig.from_dict({**config, key: count})
+
+    def test_eval_samples_bound_counts_a_sampled_evaluation(self, tmp_path, capsys, monkeypatch):
+        # the uniforms, the drawn points, their measure and W1's search arrays
+        # peak at 12.2 float64 values a sample; bound by one array, a count
+        # 13 times too large passed
+        import mfdist.bench
+
+        fake_address_space_limit(monkeypatch, resource.RLIM_INFINITY)
+        monkeypatch.setattr(mfdist.bench, "build_oracle_measure",
+                            lambda *a: pytest.fail("the oracle was built"))
+        count = PHYSICAL_MEMORY // (8 * 13) + 1
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
+                  "budgets": [300.0], "replicates": 1, "eval_samples": count}
+        with traced_peak() as traced:
+            err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        assert err == (f"error: eval_samples must be >= 1 and fit in the {PHYSICAL_MEMORY:.3g} "
+                       f"bytes of physical memory as 13 float64 values a sample, got {count}\n")
+        assert traced.peak < 2**20, traced.peak
+
+    def test_address_space_limit_bounds_sample_counts(self, tmp_path, capsys, monkeypatch):
+        # under `ulimit -v` a process can allocate less than physical memory;
+        # unchecked, an oracle past the limit reached numpy's MemoryError
+        import mfdist.bench
+
+        limit = 64 * 2**20
+        fake_address_space_limit(monkeypatch, limit)
+        monkeypatch.setattr(mfdist.bench, "build_oracle_measure",
+                            lambda *a: pytest.fail("the oracle was built"))
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
+                  "budgets": [300.0], "replicates": 1}
+        ExperimentConfig.from_dict({**config, "oracle_samples": limit // 8})  # builds no array
+        with traced_peak() as traced:
+            err = self._rejected(tmp_path, capsys, monkeypatch,
+                                 {**config, "oracle_samples": limit // 8 + 1})
+        assert err == (f"error: oracle_samples must be >= 1 and fit in the {limit:.3g} bytes of "
+                       f"physical memory as float64, got {limit // 8 + 1}\n")
+        assert traced.peak < 2**20, traced.peak
 
     def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
         config = {
@@ -1159,7 +1236,7 @@ class TestStatisticsOrdering:
 
         def sample(rng, size, models):
             x = rng.normal(size=(size, 1))
-            return 2.0 * x[:, 0] + 0.5 * rng.normal(size=size), x
+            yield 2.0 * x[:, 0] + 0.5 * rng.normal(size=size), x
 
         suite = ModelSuite(name="sym", cost_y=1.0, costs=(0.05,), sampler=sample)
         from mfdist.measures import moment_summary
@@ -1185,6 +1262,23 @@ class TestOracleMeasure:
         b = build_oracle_measure(cfg, suite)
         assert np.array_equal(a.atoms, b.atoms)
         assert a.size == cfg.oracle_samples
+
+    @pytest.mark.parametrize("method", ["oracle", "ecdf-y"])
+    def test_sorts_its_own_draw_in_place(self, method):
+        # from_samples' sorted copy of the draw held a second float a sample
+        n = 1_000_000
+        suite = ishigami_suite("perfect")
+        cfg = small_config(oracle_samples=n)
+        seed = np.random.SeedSequence(entropy=(cfg.seed, 0xFACE)) if method == "oracle" else 3
+        y, _ = suite.draw(np.random.default_rng(seed), n, (0,))
+        with traced_peak() as traced:
+            if method == "oracle":
+                measure = build_oracle_measure(cfg, suite)
+            else:
+                measure = run_ecdf_y(suite, float(n), np.random.default_rng(seed))
+        assert measure.atoms.tobytes() == np.sort(y).tobytes()
+        # the draw's block allowance, as TestDrawMemory's
+        assert traced.peak <= 8 * n + 13 * 8 * _BLOCK_ROWS + 64 * 1024, traced.peak / (8 * n)
 
 
 class TestBenchmarkSpanTargets:

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ from scipy import integrate, stats
 from scipy.stats import wasserstein_distance
 
 from mfdist.errors import InsufficientSampleError
+from mfdist.models import _BLOCK_ROWS
 from mfdist.measures import (
     _UNIFORM_RATIO,
     EmpiricalMeasure,
@@ -26,6 +26,7 @@ from oracles import (
     moments_exact,
     moments_float_powers,
     moments_full_array,
+    traced_peak,
     w1_bruteforce_assignment,
     w1_quantile_grid,
     w1_uniform_exact,
@@ -91,6 +92,30 @@ class TestConstruction:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             EmpiricalMeasure.from_samples([np.nan, 1.0])
+
+    @pytest.mark.parametrize("at", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                    3 * _BLOCK_ROWS, 3 * _BLOCK_ROWS + 6])
+    def test_checks_reach_every_atom_across_block_edges(self, at):
+        # the checks run over blocks that overlap by one atom: a drop or a
+        # NaN at, just before or just after an edge must still be found
+        atoms = np.arange(3 * _BLOCK_ROWS + 7.0)
+        EmpiricalMeasure(atoms)
+        dropped = atoms.copy()
+        dropped[at] = dropped[at - 1] - 0.5
+        with pytest.raises(ValueError, match="sorted"):
+            EmpiricalMeasure(dropped)
+        nan = atoms.copy()
+        nan[at] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalMeasure(nan)
+
+    def test_checks_hold_one_block(self):
+        # unblocked, the finiteness and order checks each built a 1 MiB
+        # boolean array for 2**20 atoms
+        atoms = np.arange(float(1 << 20))
+        with traced_peak() as traced:
+            EmpiricalMeasure(atoms)
+        assert traced.peak <= _BLOCK_ROWS + 1 + 64 * 1024, traced.peak
 
     def test_immutable(self):
         m = uniform_measure(0.0, 1.0)
@@ -334,15 +359,10 @@ class TestWassersteinUnequalSizes:
         rng = np.random.default_rng(67)
         large = EmpiricalMeasure.from_samples(rng.standard_normal(1_000_000))
         small = EmpiricalMeasure.from_samples(rng.standard_normal(200))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as traced:
             wasserstein1(small, large)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
         assert large._prefix is not None
-        assert held <= 8.5 * 2**20, held / 2**20
+        assert traced.held <= 8.5 * 2**20, traced.held / 2**20
 
     def test_uniform_path_builds_no_prefix_sums(self):
         rng = np.random.default_rng(65)
@@ -360,15 +380,9 @@ class TestWassersteinUnequalSizes:
         rng = np.random.default_rng(66)
         a = EmpiricalMeasure.from_samples(rng.standard_normal(1_500_000))
         b = EmpiricalMeasure.from_samples(rng.standard_normal(1_000_000))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+        with traced_peak() as traced:
             wasserstein1(a, b)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * 8 * 2**16 + 64 * 1024, peak / (8 * 2**16)
+        assert traced.peak <= 10 * 8 * 2**16 + 64 * 1024, traced.peak / (8 * 2**16)
 
 
 class TestWassersteinAgainstRationals:
@@ -651,13 +665,9 @@ class TestMomentSummary:
 
     def test_temporaries_are_one_block(self):
         m = EmpiricalMeasure.from_samples(np.random.default_rng(54).normal(size=1 << 20))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             moment_summary(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2**20, peak
+        assert traced.peak <= 2**20, traced.peak
 
     def test_insufficient_atoms(self):
         with pytest.raises(InsufficientSampleError):

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import tracemalloc
 import warnings
 from functools import reduce
 from types import SimpleNamespace
@@ -29,6 +28,7 @@ from oracles import (
     ishigami_terms_float_powers,
     ishigami_y_products,
     table_rows_line_loop,
+    traced_peak,
     write_table,
 )
 
@@ -226,7 +226,7 @@ class TestSubsetDraws:
     def test_sampler_shape_is_checked_for_what_was_asked(self):
         suite = ModelSuite(
             name="short", cost_y=1.0, costs=(0.1,),
-            sampler=lambda r, n, models: (np.zeros(n - 1), np.zeros((n, 1))),
+            sampler=lambda r, n, models: iter([(np.zeros(n - 1), np.zeros((n, 1)))]),
         )
         _, x = suite.draw(np.random.default_rng(0), 4, (1,))
         assert x.shape == (4, 1)
@@ -297,15 +297,9 @@ class TestDrawMemory:
             # Y is 1 float a row, x is 2 whatever surrogates are asked for
             output = 8 * self.ROWS * ((0 in asked) + 2 * (asked[-1] > 0))
             rng = np.random.default_rng(0)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
+            with traced_peak() as traced:
                 suite.draw(rng, self.ROWS, asked)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= output + allowance, (asked, (peak - output) / 1024)
+            assert traced.peak <= output + allowance, (asked, (traced.peak - output) / 1024)
 
 
 class TestDrawBlocks:
@@ -691,17 +685,11 @@ class TestTableFastPath:
             cost_y=1.0, costs=(0.5,) * n,
         )
         write_table(table, tmp_path / "m.csv", tmp_path / "m.json")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+        with traced_peak() as traced:
             loaded = SampleTable.from_csv(tmp_path / "m.csv", tmp_path / "m.json")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
         assert np.array_equal(loaded.x, table.x)
         values = rows * (n + 1)
-        assert peak <= 3 * 8 * values + (1 << 20), peak / (8 * values)
+        assert traced.peak <= 3 * 8 * values + (1 << 20), traced.peak / (8 * values)
 
 
 class TestSuiteFromConfig:

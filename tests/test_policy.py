@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -39,7 +38,7 @@ from mfdist.policy import (
 )
 from mfdist.regress import ols_fit, quantile_fit
 
-from oracles import golden_section_min, with_intercept
+from oracles import golden_section_min, traced_peak, with_intercept
 
 
 def linear_gaussian_suite(noise=0.3, costs=(0.05, 0.01), cost_y=1.0) -> ModelSuite:
@@ -48,7 +47,7 @@ def linear_gaussian_suite(noise=0.3, costs=(0.05, 0.01), cost_y=1.0) -> ModelSui
     def sample(rng, size, models):
         x = rng.normal(size=(size, 2))
         y = 1.0 + 2.0 * x[:, 0] - x[:, 1] + noise * rng.normal(size=size)
-        return y, x
+        yield y, x
 
     return ModelSuite(name="lin", cost_y=cost_y, costs=costs, sampler=sample)
 
@@ -165,7 +164,7 @@ class TestScoreSubsets:
 
         def sample(rng, size, models):
             x = rng.normal(size=(size, 3))
-            return x.sum(axis=1) + rng.normal(size=size), x
+            yield x.sum(axis=1) + rng.normal(size=size), x
 
         three = ModelSuite(name="three", cost_y=1.0, costs=(0.1,) * 3, sampler=sample)
         monkeypatch.setattr(FeatureMap, "design", counting)
@@ -409,7 +408,7 @@ class TestAetcdStep:
         # still has exploration error to balance
         def sample(rng, size, models):
             x = rng.normal(size=(size, 2))
-            return x[:, 0].copy(), x
+            yield x[:, 0].copy(), x
 
         suite = ModelSuite(name="exact1", cost_y=1.0, costs=(0.05, 0.001), sampler=sample)
         rng = np.random.default_rng(77)
@@ -429,7 +428,7 @@ class TestAetcdStep:
         # adds up to 45.900000000000006; the cap the ledger still affords takes
         # 24, 44, 45 and ends at 45.9
         def sample(rng, size, models):
-            return rng.normal(size=size), np.ones((size, 1))
+            yield rng.normal(size=size), np.ones((size, 1))
 
         suite = ModelSuite(name="flat", cost_y=1.0, costs=(0.02,), sampler=sample)
         rng = np.random.default_rng(9)
@@ -513,7 +512,7 @@ class TestExploit:
         # atom names its residual; chi-square goodness of fit at the 1% level
         # with N=1e5 draws over m=100 residuals
         def zeros(rng, size, models):
-            return None, np.zeros((size, 1))
+            yield None, np.zeros((size, 1))
 
         suite = ModelSuite(name="zero", cost_y=1.0, costs=(0.01,), sampler=zeros)
         rng = np.random.default_rng(12)
@@ -530,7 +529,7 @@ class TestExploit:
         # the exploration rows fit, but every exploitation row's cube
         # overflows: a cell error, not a ValueError from the measure
         def sample(rng, size, models):
-            return None, np.full((size, 1), 1e110)
+            yield None, np.full((size, 1), 1e110)
 
         base = ModelSuite(name="big", cost_y=1.0, costs=(0.01,), sampler=sample)
         suite = expanded_suite(base, "L")
@@ -629,47 +628,76 @@ class TestExploitBlocks:
                 assert rng.random(2).tobytes() == replay.random(2).tobytes(), (subset, size)
 
 
+class TestExploitUnevenBlocks:
+    """exploit predicts each block as it arrives, whatever its size: blocks of
+    1, 2, B + 1 and other rows give the one-shot estimate byte for byte and
+    leave the generator where it does."""
+
+    B = _BLOCK_ROWS
+    SIZES = [1, 2, B + 1, 3, 1, 1, 5]
+
+    @classmethod
+    def uneven(cls, suite: ModelSuite) -> ModelSuite:
+        """The same joint draws, yielded in blocks of SIZES rows in turn."""
+
+        def sample(rng, size, models):
+            start, turn = 0, 0
+            while start < size:
+                rows = min(cls.SIZES[turn % len(cls.SIZES)], size - start)
+                yield suite.draw(rng, rows, models)
+                start, turn = start + rows, turn + 1
+
+        return replace(suite, sampler=sample)
+
+    @pytest.mark.parametrize("variant", ["standard", "no-noise", "quantile"])
+    def test_match_the_one_shot_estimate(self, variant):
+        suite = expanded_suite(ishigami_suite("approx"), "L")
+        uneven = self.uneven(suite)
+        for subset in [(1,), (1, 2)]:
+            for size in [1, 2, 4, self.B + 2, 2 * self.B + 20]:
+                state = committed_state(suite, subset, size, seed=8)
+                rng = np.random.default_rng(size)
+                estimate = exploit(state, uneven, variant, rng=rng)
+                replay = np.random.default_rng(size)
+                want = one_shot_exploit(state, suite, variant, size, replay)
+                assert estimate.atoms.tobytes() == want.tobytes(), (subset, size)
+                assert rng.random(2).tobytes() == replay.random(2).tobytes(), (subset, size)
+
+
 class TestExploitMemory:
-    """exploit holds the drawn inputs (x, 2 floats a row) and the predictions,
-    and the quantile variant its level indices too.  The inputs are freed
-    before ``standard`` draws its noise indices, whose residuals are added a
-    block at a time, and the predictions are sorted in place into the
-    measure, which stores no levels.  The design exists one block at a time.
-    The 1 MiB slack covers the last block's design (0.44 MiB) and the
-    measure's finiteness and order checks (one byte a row each, in turn),
-    which come after the inputs are gone."""
+    """exploit predicts the drawn inputs a block at a time, so it holds the
+    predictions (1 float a row), never the N-row inputs or their design.
+    ``standard`` then draws its noise indices as int32 (half a float a row),
+    adds the gathered residuals a block at a time and frees the indices;
+    ``quantile`` keeps the input blocks (x, 2 floats a row) until its int32
+    level indices are drawn.  The predictions are sorted in place into the
+    measure, which stores no levels and checks them a block at a time.  The
+    1 MiB slack covers a block's uniforms, scratch rows, inputs and design
+    (0.44 MiB for the last, 8193-row block)."""
 
     ROWS = 1 << 20
 
     @pytest.mark.parametrize(
         "variant, floats",
-        [("standard", 3), ("no-noise", 3), ("quantile", 4)],
-        ids=["standard-3", "no-noise-3", "quantile-4"],
+        [("standard", 1.5), ("no-noise", 1), ("quantile", 3.5)],
+        ids=["standard-1.5", "no-noise-1", "quantile-3.5"],
     )
     def test_peak_in_floats_a_row(self, variant, floats):
         suite = expanded_suite(ishigami_suite("perfect"), "L")
         state = committed_state(suite, (1, 2), self.ROWS, seed=6)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             exploit(state, suite, variant, rng=np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * self.ROWS * floats + 2**20, peak / (8 * self.ROWS)
+        assert traced.peak <= 8 * self.ROWS * floats + 2**20, traced.peak / (8 * self.ROWS)
 
-    @pytest.mark.parametrize("variant, floats", [("standard", 3), ("quantile", 4)])
+    @pytest.mark.parametrize("variant, floats", [("standard", 1.5), ("quantile", 3.5)])
     def test_exploit_then_moments(self, variant, floats):
         # a cell's estimate and its moment summary: moment_summary works in
         # blocks beside the 1-float estimate, so the pair peaks at exploit's
         suite = expanded_suite(ishigami_suite("perfect"), "L")
         state = committed_state(suite, (1, 2), self.ROWS, seed=7)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             moment_summary(exploit(state, suite, variant, rng=np.random.default_rng(1)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * self.ROWS * floats + 2**20, peak / (8 * self.ROWS)
+        assert traced.peak <= 8 * self.ROWS * floats + 2**20, traced.peak / (8 * self.ROWS)
 
 
 def recording_suite(suite: ModelSuite) -> tuple[ModelSuite, list]:
@@ -691,7 +719,7 @@ class TestDrawRequests:
         # Y depends on X1 alone, so the policy commits to a proper subset
         def sample(rng, size, models):
             x = rng.normal(size=(size, 2))
-            return 1.0 + 2.0 * x[:, 0] + 0.3 * rng.normal(size=size), x
+            yield 1.0 + 2.0 * x[:, 0] + 0.3 * rng.normal(size=size), x
 
         suite, calls = recording_suite(
             ModelSuite(name="x1", cost_y=1.0, costs=(0.05, 0.01), sampler=sample)
