@@ -154,7 +154,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     # for each column of the widest design (it and the fit's copy of it) and
     # two more, plus one of slack (traced: 8.0 a row at n = 1, 10.4 for
     # ishigami-perfect, 61.5 at n = 6 with quadratic interactions)
-    floats = suite.n + 1 + 2 * len(suite.feature_map.columns(tuple(range(1, suite.n + 1)))) + 3
+    floats = suite.n + 1 + 2 * (1 + suite.n + len(suite.feature_map.extra)) + 3
     if args.pilot * floats * 8 > (memory := _physical_memory()):
         raise ConfigError(f"--pilot must fit in the {memory:.3g} bytes of physical memory "
                           f"as {floats} float64 values a row, got {args.pilot}")
