@@ -22,7 +22,7 @@ from .errors import (
     PolicyError,
 )
 from .measures import EmpiricalMeasure, _cdf_variation, _j1, j_functionals
-from .models import _BLOCK_ROWS, ModelSuite, _indices
+from .models import _BLOCK_ROWS, ModelSuite, _indices, _row_blocks
 from .regress import FitResult, _ols, ols_fit, quantile_fit
 
 __all__ = [
@@ -385,9 +385,10 @@ def exploit(
         fit = ols_fit(Z, state.y_epr)
     # draw order is part of the determinism contract: surrogate inputs first,
     # then the level or noise indices, each in one call.  The inputs stream in
-    # row blocks, each predicted as it arrives, so neither the N-row inputs nor
-    # their design ever exist; the level indices must follow every input, so
-    # the quantile variant keeps the blocks until they are drawn
+    # row blocks, each predicted as it arrives, and a sampler's block is cut
+    # into _BLOCK_ROWS slices, so the design never holds more rows than one
+    # slice; the level indices must follow every input, so the quantile
+    # variant keeps the blocks until they are drawn
     blocks = suite.blocks(rng, n_exploit, subset)
     if variant == "quantile":
         blocks = list(blocks)
@@ -395,19 +396,20 @@ def exploit(
     values = np.empty(n_exploit)
     start = 0
     for _, x in blocks:
-        stop = start + len(x)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows once sorted
-            Z = suite.feature_map.design(x, subset)
-            if variant == "quantile":
-                values[start:stop] = levels.predict(Z, level_idx[start:stop])
-            elif stop - start == 1 < n_exploit:
-                # numpy takes a one-row product as a dot, which rounds otherwise
-                # than the one-shot product; the built-in samplers yield no lone row
-                values[start] = (np.vstack([Z, Z]) @ fit.beta_hat)[0]
-            else:
-                np.matmul(Z, fit.beta_hat, out=values[start:stop])
-        start = stop
-        del x, Z  # before the sampler makes the next block
+        for lo, hi in _row_blocks(len(x)):
+            stop = start + hi - lo
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows once sorted
+                Z = suite.feature_map.design(x[lo:hi], subset)
+                if variant == "quantile":
+                    values[start:stop] = levels.predict(Z, level_idx[start:stop])
+                elif stop - start == 1 < n_exploit:
+                    # numpy takes a one-row product as a dot, which rounds otherwise
+                    # than the one-shot product; the built-in samplers yield no lone row
+                    values[start] = (np.vstack([Z, Z]) @ fit.beta_hat)[0]
+                else:
+                    np.matmul(Z, fit.beta_hat, out=values[start:stop])
+            start = stop
+        x = Z = None  # before the sampler makes the next block
     if variant == "standard":
         noise_idx = _indices(rng, fit.residuals.size, n_exploit)
         for lo in range(0, n_exploit, _BLOCK_ROWS):

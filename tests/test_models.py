@@ -232,6 +232,18 @@ class TestSubsetDraws:
         assert x.shape == (4, 1)
         with pytest.raises(ValueError, match="shape"):
             suite.draw(np.random.default_rng(0), 4)
+        # blocks of 2 and 1 rows are too few across blocks; a third block is one too many
+        for sizes in ([2, 1], [2, 2, 1]):
+            counted = ModelSuite(
+                name="rows", cost_y=1.0, costs=(0.1,),
+                sampler=lambda r, n, models, sizes=sizes: (
+                    (np.zeros(k), np.zeros((k, 1))) for k in sizes
+                ),
+            )
+            with pytest.raises(ValueError, match="rows"):
+                counted.draw(np.random.default_rng(0), 4)
+            with pytest.raises(ValueError, match="rows"):
+                list(counted.blocks(np.random.default_rng(0), 4))
 
 
 class TestIshigamiProducts:

@@ -699,6 +699,29 @@ class TestExploitMemory:
             moment_summary(exploit(state, suite, variant, rng=np.random.default_rng(1)))
         assert traced.peak <= 8 * self.ROWS * floats + 2**20, traced.peak / (8 * self.ROWS)
 
+    @pytest.mark.parametrize(
+        "variant, floats",
+        [("standard", 3), ("no-noise", 3), ("quantile", 3.5)],
+        ids=["standard-3", "no-noise-3", "quantile-3.5"],
+    )
+    def test_one_block_sampler(self, variant, floats):
+        # a custom sampler may yield its whole draw as one block (x, 2 floats
+        # a row); exploit still cuts it into _BLOCK_ROWS slices, so the N-row
+        # design never exists and each row rounds as under the built-in blocks
+        suite = expanded_suite(ishigami_suite("perfect"), "L")
+
+        def whole(rng, size, models):
+            yield suite.draw(rng, size, models)
+
+        state = committed_state(suite, (1, 2), self.ROWS, seed=9)
+        with traced_peak() as traced:
+            estimate = exploit(state, replace(suite, sampler=whole), variant,
+                               rng=np.random.default_rng(2))
+        assert traced.peak <= 8 * self.ROWS * floats + 2**20, traced.peak / (8 * self.ROWS)
+        state = committed_state(suite, (1, 2), self.ROWS, seed=9)
+        want = exploit(state, suite, variant, rng=np.random.default_rng(2))
+        assert estimate.atoms.tobytes() == want.atoms.tobytes()
+
 
 def recording_suite(suite: ModelSuite) -> tuple[ModelSuite, list]:
     """The same suite, logging the (size, models) of every sampler call."""
