@@ -53,10 +53,15 @@ SUMMARY_COLUMNS = ["method", "budget", "mean", "q05", "q50", "q95", "failures"]
 # ---------------------------------------------------------------------------
 
 
-# float64 values a sample that a sampled evaluation holds at once: the
-# uniforms, the drawn points, their measure and W1's search-path arrays
-# (traced at most 12.2 a sample, against a 1024 times larger oracle)
-_EVAL_FLOATS = 13
+# float64 values a sample held at once by a sampled evaluation: the uniforms,
+# the drawn points, their measure and W1's search-path arrays (traced at most
+# 12.2 a sample, against a 1024 times larger oracle); and by the oracle: its
+# atoms and the prefix sums wasserstein1 caches on the first call that needs them
+_EVAL_FLOATS, _ORACLE_FLOATS = 13, 2
+
+# bytes a cell holds until the run ends: its key, its ResultRow and its
+# results.csv line (traced 863 on ecdf-y cells, whose rows hold no trace)
+_ROW_BYTES = 800
 
 
 def _physical_memory() -> int:
@@ -146,12 +151,15 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         memory = _physical_memory()
-        for key, floats in (("eval_samples", _EVAL_FLOATS), ("oracle_samples", 1)):
+        cells = len(self.methods) * len(self.budgets) * self.replicates
+        if cells > memory // _ROW_BYTES:
+            raise ConfigError(f"methods x budgets x replicates must fit in the {memory:.3g} bytes "
+                              f"of physical memory as {_ROW_BYTES} bytes a cell, got {cells}")
+        for key, floats in (("eval_samples", _EVAL_FLOATS), ("oracle_samples", _ORACLE_FLOATS)):
             count = getattr(self, key)
             if not 1 <= count <= memory // (8 * floats):
-                size = "float64" if floats == 1 else f"{floats} float64 values a sample"
                 raise ConfigError(f"{key} must be >= 1 and fit in the {memory:.3g} bytes of "
-                                  f"physical memory as {size}, got {count}")
+                                  f"physical memory as {floats} float64 values a sample, got {count}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval not in ("sampled", "full"):

@@ -116,7 +116,7 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
                 by_m.setdefault(m, []).append(values["w1_error"])
                 budgets.add(values["budget"])
         except UnicodeDecodeError:
-            raise MfdistError(not_utf8_message(path)) from None
+            raise MfdistError(not_utf8_message(path) or f"{path}: not UTF-8") from None
         except ValueError as exc:  # fixed_rate's ConfigError included
             raise MfdistError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(budgets) != 1:

@@ -13,11 +13,9 @@ seed reproduces the same stream on every platform.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -158,11 +156,11 @@ class ModelSuite:
     Together the blocks must use the generator exactly as one joint draw
     does, whatever is asked, so a request returns the joint draw's columns
     bit for bit and leaves the stream where the joint draw would.  The
-    Ishigami samplers draw each block's own uniforms, because PCG64 spends
-    one 64-bit output on each uniform double; the table sampler draws all
-    its row indices in one call, because ``rng.integers`` below 2**32 takes
-    buffered 32-bit draws, which split calls would shift.  Both yield fresh
-    arrays, so a consumer may keep a block, of at most _BLOCK_ROWS + 1 rows.
+    built-in samplers draw each block's own uniforms or row indices: PCG64
+    spends one 64-bit output on each uniform double, and ``rng.integers``
+    keeps the unused half of a 64-bit output in the generator, so split
+    calls draw the one-shot call's values.  Both yield fresh arrays, so a
+    consumer may keep a block, of at most _BLOCK_ROWS + 1 rows.
     Draws across calls are iid continuations of the generator's stream.  A
     single generator must not be shared across threads; spawn independent
     streams per worker instead.
@@ -353,9 +351,19 @@ def _ishigami_sampler(variant: str, a: float, b: float, c: float, d: float) -> S
     def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Iterator[Drawn]:
         scratch = np.empty((3, min(size, _BLOCK_ROWS + 1)))
         for start, stop in _row_blocks(size):
-            yield block(rng.uniform(-np.pi, np.pi, size=(stop - start, 5)), scratch, models)
+            yield block(_ishigami_inputs(rng, stop - start), scratch, models)
 
     return sample
+
+
+def _ishigami_inputs(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rng.uniform(-np.pi, np.pi, (rows, 5))`` bit for bit, leaving the
+    generator where it would, without its per-value loop: both take u from
+    ``random`` and round 2pi u, then -pi + 2pi u (2pi = pi - -pi exactly)."""
+    z = rng.random((rows, 5))
+    z *= 2.0 * np.pi
+    z -= np.pi
+    return z
 
 
 def ishigami_suite(
@@ -441,64 +449,43 @@ class SampleTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, costs_path: str | Path) -> "SampleTable":
-        """Load a table: a header ``y,x1,...,xn`` (n from the costs' length),
-        then one row of n + 1 Python ``float`` spellings per line.
+        """Load a table: the header line ``y,x1,...,xn`` (n from the costs'
+        length), then one row of n + 1 finite numbers per line, as
+        ``np.loadtxt(delimiter=",", comments=None)`` reads them, with no blank
+        line or byte 0x1c-0x1f, which numpy would skip or strip.
 
-        numpy's C reader parses the rows.  A file it refuses, or might read
-        otherwise, goes through the line loop, which parses every spelling
-        ``float()`` takes and names the line of the first malformed row; a
-        value that is not finite is malformed, and its column is named.  A
-        byte that is not UTF-8 is decoded as a lone surrogate, which no row
-        parses, so the first malformed row is found even when it lies before
-        the first such byte.
+        One byte pass finds the first such line, and one ``loadtxt`` call
+        parses the rows before it.  An error names the first bad line, or the
+        first byte that is not UTF-8 if that line holds it.  A row numpy
+        refuses is read again up to that row, so that a value before it that
+        is not finite is named first.
         """
         path = Path(path)
         cost_y, costs = _read_costs(costs_path)
-        n = len(costs)
-        expected_header = ["y"] + [f"x{i}" for i in range(1, n + 1)]
+        names = ["y"] + [f"x{i}" for i in range(1, len(costs) + 1)]
+        stop, problem = _scan(path)
         with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if header != ",".join(names):
+                raise _table_error(path, 1, f"expected header {','.join(names)!r}, got {header!r}")
+            start = fh.tell()
+            fields = fh.readline().count(",") + 1  # loadtxt takes its width from the first row
+            if stop > 2 and fields != len(names):
+                raise _table_error(path, 2, f"expected {len(names)} fields, got {fields}")
             try:
-                header = next(csv.reader(fh), None)
-            except csv.Error as exc:
-                raise TableParseError(f"{path}: line 1: {exc}") from None
-            if header != expected_header:
-                raise _row_error(
-                    path, 1, header or [],
-                    f"expected header {','.join(expected_header)!r}, got {header!r}",
-                )
-            data = _loadtxt_rows(fh, path, n + 1)
-        if data is not None:
-            finite = np.isfinite(data)
-            if not finite.all():  # loadtxt read one row per line, from line 2 on
-                row, col = np.argwhere(~finite)[0]
-                problem = _not_finite(expected_header[col], data[row, col])
-                raise _row_error(path, row + 2, [], problem)
-            return cls(y=data[:, 0].copy(), x=data[:, 1:].copy(), cost_y=cost_y, costs=costs)
-        y_rows: list[float] = []
-        x_rows: list[list[float]] = []
-        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            row: list[str] = []
-            try:
-                for row in reader:
-                    if len(row) != n + 1:
-                        raise ValueError(f"expected {n + 1} fields, got {len(row)}")
-                    values = [float(v) for v in row]
-                    for name, value in zip(expected_header, values):
-                        if not math.isfinite(value):
-                            raise ValueError(_not_finite(name, value))
-                    y_rows.append(values[0])
-                    x_rows.append(values[1:])
-            # csv.Error: e.g. a field over csv's size limit; line_num is the
-            # physical line the record ends on, past any quoted newline
-            except (ValueError, csv.Error) as exc:
-                raise _row_error(path, reader.line_num, row, exc) from None
-        if not y_rows:
+                data = _rows(fh, start, stop - 2, len(names))
+            except ValueError as exc:
+                stop, problem = _refused(path, str(exc), len(names))
+                data = _rows(fh, start, stop - 2, len(names))
+        finite = np.isfinite(data)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise _table_error(path, row + 2, _not_finite(names[col], data[row, col]))
+        if problem:
+            raise _table_error(path, stop, problem)
+        if len(data) == 0:
             raise TableParseError(f"{path}: table has a header but no data rows")
-        return cls(
-            y=np.asarray(y_rows), x=np.asarray(x_rows), cost_y=cost_y, costs=costs
-        )
+        return cls(y=data[:, 0].copy(), x=data[:, 1:].copy(), cost_y=cost_y, costs=costs)
 
 
 def load_json_object(path: str | Path) -> dict:
@@ -548,80 +535,86 @@ def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
         ) from None
 
 
-# ASCII separators 0x1c-0x1f: numpy's float parser strips them as whitespace
-# where float() refuses them, so a file holding one goes to the line loop
-_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# a blank line (a line end right after another; a \r\n is one) and the ASCII
+# separators 0x1c-0x1f, which numpy would skip or strip as whitespace
+_REFUSED = (b"\n\n", b"\n\r", b"\r\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _count_lines(path: Path) -> int | None:
-    """Lines as text iteration with ``newline=""`` splits the file (at \\n,
-    \\r\\n and \\r), counted in 1 MiB binary chunks; None if the file holds a
-    byte of _NUMPY_ONLY_SPACE.  In UTF-8 these bytes occur only as the
-    characters they encode."""
-    lines = 0
-    last = b""
+def _line_ends(data: bytes) -> int:
+    """Line ends in ``data``: \\n, \\r\\n or \\r, as text read with
+    ``newline=""`` splits lines."""
+    ends = data.count(b"\n")
+    if b"\r" in data:  # most tables have none: skip two counting passes
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
+
+
+def _scan(path: Path) -> tuple[int, str | None]:
+    """The first line of the file at ``path`` that holds a pattern of
+    _REFUSED, with its problem, or else the line past the last, with None.
+    Read in 1 MiB chunks, each searched with the last byte of the one before.
+    In UTF-8 these bytes occur only as the characters they encode."""
+    ends, last = 0, b""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
-            if any(sep in chunk for sep in _NUMPY_ONLY_SPACE):
-                return None
-            lines += chunk.count(b"\n")
-            if b"\r" in chunk:  # most tables have none: skip two counting passes
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk[:1] == b"\n":
-                lines -= 1  # a \r\n split across two chunks
+            data = last + chunk
+            found = [at + len(bad) - 1 for bad in _REFUSED  # most tables hold no \r
+                     if (b"\r" not in bad or b"\r" in data) and (at := data.find(bad)) >= 0]
+            if found:
+                at = min(found)
+                line = ends + _line_ends(data[:at]) - _line_ends(last) + 1
+                return line, ("blank line" if data[at] in b"\r\n" else
+                              f"byte {data[at]:#04x} is an ASCII separator, which no table holds")
+            ends += _line_ends(data) - _line_ends(last)
             last = chunk[-1:]
-    if last not in (b"\n", b"\r"):
-        lines += 1
-    return lines
+    return ends + (last not in (b"\n", b"\r")) + 1, None
 
 
-def not_utf8_message(path: str | Path) -> str:
+def _rows(fh, start: int, rows: int, width: int) -> np.ndarray:
+    """The ``rows`` rows of the open table ``fh`` from position ``start``, as
+    a (rows, columns) array; ValueError if numpy refuses one."""
+    fh.seek(start)
+    if rows < 1:  # loadtxt warns of no data
+        return np.empty((0, width))
+    return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+
+
+def _refused(path: Path, message: str, width: int) -> tuple[int, str]:
+    """The line and problem of the row that ``np.loadtxt``'s ValueError
+    ``message`` names, in a table with no blank line before it whose first
+    row is ``width`` fields wide: numpy counts rows from 0 in a conversion
+    error and from 1 in a column-count error."""
+    if found := re.fullmatch(r"could not convert string (.*) to float64 at row (\d+), column \d+\.",
+                             message, re.DOTALL):
+        return int(found[2]) + 2, f"could not convert string to float: {found[1]}"
+    if found := re.match(r"the number of columns changed from \d+ to (\d+) at row (\d+)", message):
+        return int(found[2]) + 1, f"expected {width} fields, got {found[1]}"
+    raise TableParseError(f"{path}: {message}")
+
+
+def not_utf8_message(path: str | Path, line: float = math.inf) -> str | None:
     """Why the file at ``path`` does not decode as UTF-8: its first bad byte
-    and that byte's line, split as csv splits lines (at \\n, \\r\\n and \\r).
-    Read only after a decode error, so a valid file pays nothing."""
+    and that byte's line, split as text read with ``newline=""`` splits
+    lines; None if that line is past ``line``, or if the file decodes (it
+    changed since it was read).  Read only after an error, so a valid file
+    pays nothing."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8"
-    return f"{path}: not UTF-8"  # the file changed since it was read
+        bad = 1 + _line_ends(data[:exc.start])
+        return f"{path}: line {bad}: byte {data[exc.start]:#04x} is not UTF-8" if bad <= line else None
+    return None
 
 
-def _row_error(path: Path, line: int, row: list[str], problem) -> TableParseError:
-    """The error for the table's first malformed row: its first byte that is
-    not UTF-8, if the row holds one (decoded by errors="surrogateescape" as
-    U+DC80..U+DCFF), else ``problem`` at ``line``."""
-    if re.search("[\udc80-\udcff]", ",".join(row)):
-        return TableParseError(not_utf8_message(path))
-    return TableParseError(f"{path}: line {line}: {problem}")
+def _table_error(path: Path, line: int, problem: str) -> TableParseError:
+    """``problem`` at ``line``, the table's first bad line, unless the line
+    holds a byte that is not UTF-8 (the lines before it parsed, so hold none)."""
+    return TableParseError(not_utf8_message(path, line) or f"{path}: line {line}: {problem}")
 
 
 def _not_finite(column: str, value: float) -> str:
     return f"column {column} is {value}, not a finite number"
-
-
-def _loadtxt_rows(fh, path: Path, width: int) -> np.ndarray | None:
-    """The rest of the open table ``fh``, just past its header, parsed by
-    numpy's C reader: an array of one row per line, or None if the reader
-    refuses the file or may have read it otherwise than the line loop.
-
-    ``loadtxt`` streams ``fh`` line by line.  It silently skips blank lines
-    and takes its width from the first row, so its result counts only if it
-    has one row per data line and ``width`` columns.
-    """
-    lines = _count_lines(path)
-    if lines is None or lines == 1:  # header only: loadtxt would warn of no data
-        return None
-    try:
-        with warnings.catch_warnings():
-            # a file of blank lines warns of no data; the shape check refuses it
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return data if data.shape == (lines - 1, width) else None
 
 
 def table_suite(table: SampleTable) -> ModelSuite:
@@ -630,9 +623,8 @@ def table_suite(table: SampleTable) -> ModelSuite:
         raise TableParseError("cannot build a suite from an empty table")
 
     def sample(rng: np.random.Generator, size: int, models: tuple[int, ...]) -> Iterator[Drawn]:
-        idx = _indices(rng, table.rows, size)
         for start, stop in _row_blocks(size):
-            rows = idx[start:stop]
+            rows = _indices(rng, table.rows, stop - start)
             yield (table.y[rows] if models[0] == 0 else None,
                    _blank_unasked(table.x[rows], models) if models[-1] > 0 else None)
 

@@ -384,15 +384,15 @@ def exploit(
     else:
         fit = ols_fit(Z, state.y_epr)
     # draw order is part of the determinism contract: surrogate inputs first,
-    # then the level or noise indices, each in one call.  The inputs stream in
-    # row blocks, each predicted as it arrives, and a sampler's block is cut
-    # into _BLOCK_ROWS slices, so the design never holds more rows than one
-    # slice; the level indices must follow every input, so the quantile
-    # variant keeps the blocks until they are drawn
+    # then the level or noise indices, in row order; split rng.integers calls
+    # draw the one-shot call's values, so each slice draws its own.  The
+    # inputs stream in row blocks, each predicted as it arrives, and a
+    # sampler's block is cut into _BLOCK_ROWS slices, so the design never
+    # holds more rows than one slice; the level indices must follow every
+    # input, so the quantile variant keeps the blocks until they are drawn
     blocks = suite.blocks(rng, n_exploit, subset)
     if variant == "quantile":
         blocks = list(blocks)
-        level_idx = _indices(rng, k, n_exploit)
     values = np.empty(n_exploit)
     start = 0
     for _, x in blocks:
@@ -401,7 +401,7 @@ def exploit(
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows once sorted
                 Z = suite.feature_map.design(x[lo:hi], subset)
                 if variant == "quantile":
-                    values[start:stop] = levels.predict(Z, level_idx[start:stop])
+                    values[start:stop] = levels.predict(Z, _indices(rng, k, stop - start))
                 elif stop - start == 1 < n_exploit:
                     # numpy takes a one-row product as a dot, which rounds otherwise
                     # than the one-shot product; the built-in samplers yield no lone row
@@ -411,10 +411,9 @@ def exploit(
             start = stop
         x = Z = None  # before the sampler makes the next block
     if variant == "standard":
-        noise_idx = _indices(rng, fit.residuals.size, n_exploit)
         for lo in range(0, n_exploit, _BLOCK_ROWS):
-            values[lo:lo + _BLOCK_ROWS] += fit.residuals[noise_idx[lo:lo + _BLOCK_ROWS]]
-        del noise_idx  # before the measure is built
+            block = values[lo:lo + _BLOCK_ROWS]
+            block += fit.residuals[_indices(rng, fit.residuals.size, len(block))]
     values.sort()  # in place; NaN sorts last, so the ends show any value that is not finite
     if not np.isfinite(values[[0, -1]]).all():
         raise PolicyError(f"suite {suite.name!r}: an exploitation prediction is not finite")

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -415,41 +416,16 @@ def pinball_lexmin_bruteforce(Z, y, taus) -> list[list[Fraction]]:
 
 
 def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a table CSV parsed one line and one ``float()`` at a time.
+    """The rows of a table CSV that ``SampleTable.from_csv`` accepts, read
+    one line and one ``float()`` at a time.
 
-    The header is assumed checked.  Raises ``TableParseError`` with the
-    line-numbered messages of ``SampleTable.from_csv``, also for the first
-    value that is not finite; returns (y, x) with x of shape (rows, n).
+    Text mode ends lines at \\n, \\r\\n and \\r.  The header is assumed
+    checked; returns (y, x) with x of shape (rows, n).
     """
-    import csv
-
-    from mfdist.errors import TableParseError
-
-    y_rows: list[float] = []
-    x_rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if len(row) != n + 1:
-                raise TableParseError(
-                    f"{path}: line {reader.line_num}: expected {n + 1} fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise TableParseError(f"{path}: line {reader.line_num}: {exc}") from None
-            for name, value in zip(["y"] + [f"x{i}" for i in range(1, n + 1)], values):
-                if not np.isfinite(value):
-                    raise TableParseError(
-                        f"{path}: line {reader.line_num}: column {name} is {value}, "
-                        "not a finite number"
-                    )
-            y_rows.append(values[0])
-            x_rows.append(values[1:])
-    if not y_rows:
-        raise TableParseError(f"{path}: table has a header but no data rows")
-    return np.asarray(y_rows), np.asarray(x_rows)
+    lines = Path(path).read_text(encoding="utf-8").split("\n")[1:]
+    rows = [[float(v) for v in line.split(",")] for line in lines if line]
+    data = np.array(rows).reshape(-1, n + 1)
+    return data[:, 0].copy(), data[:, 1:].copy()
 
 
 def with_intercept(features) -> np.ndarray:

@@ -656,17 +656,18 @@ class TestOutputsAndCli:
                   "budgets": [300.0], "replicates": 1, key: 10**12}
         with traced_peak() as traced:
             err = self._rejected(tmp_path, capsys, monkeypatch, config)
-        size = {"eval_samples": "13 float64 values a sample", "oracle_samples": "float64"}[key]
+        floats = {"eval_samples": 13, "oracle_samples": 2}[key]
         assert err.startswith(f"error: {key} must be >= 1 and fit in the ")
-        assert err.endswith(f"bytes of physical memory as {size}, got {10**12}\n")
+        assert err.endswith(f"bytes of physical memory as {floats} float64 values a sample, "
+                            f"got {10**12}\n")
         assert err.count("\n") == 1
         assert traced.peak < 2**20, traced.peak
 
     def test_sample_count_limit_is_physical_memory(self, monkeypatch):
-        # a sampled evaluation holds 13 float64 values a sample at once, the oracle 1
+        # a sampled evaluation holds 13 float64 values a sample at once, the oracle 2
         fake_address_space_limit(monkeypatch, resource.RLIM_INFINITY)
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
-        for key, floats in (("eval_samples", 13), ("oracle_samples", 1)):
+        for key, floats in (("eval_samples", 13), ("oracle_samples", 2)):
             limit = PHYSICAL_MEMORY // (8 * floats)
             ExperimentConfig.from_dict({**config, key: limit})  # builds no array
             for count in (0, limit + 1):
@@ -702,13 +703,53 @@ class TestOutputsAndCli:
                             lambda *a: pytest.fail("the oracle was built"))
         config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"],
                   "budgets": [300.0], "replicates": 1}
-        ExperimentConfig.from_dict({**config, "oracle_samples": limit // 8})  # builds no array
+        ExperimentConfig.from_dict({**config, "oracle_samples": limit // 16})  # builds no array
         with traced_peak() as traced:
             err = self._rejected(tmp_path, capsys, monkeypatch,
-                                 {**config, "oracle_samples": limit // 8 + 1})
+                                 {**config, "oracle_samples": limit // 16 + 1})
         assert err == (f"error: oracle_samples must be >= 1 and fit in the {limit:.3g} bytes of "
-                       f"physical memory as float64, got {limit // 8 + 1}\n")
+                       f"physical memory as 2 float64 values a sample, got {limit // 16 + 1}\n")
         assert traced.peak < 2**20, traced.peak
+
+    def test_oracle_samples_bound_counts_the_prefix_sums(self, monkeypatch):
+        # the oracle holds its atoms and, from the first evaluation that needs
+        # them, as many prefix sums; bound by the atoms alone, a count twice
+        # too large passed
+        import mfdist.bench
+
+        monkeypatch.setattr(mfdist.bench, "_physical_memory", lambda: 2**20)
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y"], "budgets": [300.0]}
+        ExperimentConfig.from_dict({**config, "oracle_samples": 2**16})  # builds no array
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict({**config, "oracle_samples": 2**16 + 1})
+        assert str(info.value) == ("oracle_samples must be >= 1 and fit in the 1.05e+06 bytes of "
+                                   f"physical memory as 2 float64 values a sample, got {2**16 + 1}")
+
+    def test_cell_count_past_memory_rejected(self, tmp_path, capsys, monkeypatch):
+        # unchecked, 10**12 replicates ended in MemoryError while the list of
+        # cells was built, after the oracle
+        import mfdist.bench
+
+        monkeypatch.setattr(mfdist.bench, "build_oracle_measure",
+                            lambda *a: pytest.fail("the oracle was built"))
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y", "aetc-d"],
+                  "budgets": [300.0, 600.0], "replicates": 10**12, "oracle_samples": 1000}
+        with traced_peak() as traced:
+            err = self._rejected(tmp_path, capsys, monkeypatch, config)
+        memory = mfdist.bench._physical_memory()
+        assert err == (f"error: methods x budgets x replicates must fit in the {memory:.3g} bytes "
+                       f"of physical memory as 800 bytes a cell, got {4 * 10**12}\n")
+        assert traced.peak < 2**20, traced.peak
+
+    def test_cell_count_bound(self, monkeypatch):
+        import mfdist.bench
+
+        monkeypatch.setattr(mfdist.bench, "_physical_memory", lambda: 800 * 1000)
+        config = {"suite": {"name": "ishigami-perfect"}, "methods": ["ecdf-y", "aetc-d"],
+                  "budgets": [300.0], "eval_samples": 1, "oracle_samples": 1000}
+        ExperimentConfig.from_dict({**config, "replicates": 500})  # runs no cell
+        with pytest.raises(ConfigError, match="got 1002$"):
+            ExperimentConfig.from_dict({**config, "replicates": 501})
 
     def test_non_integer_config_field_rejected(self, tmp_path, capsys, monkeypatch):
         config = {

@@ -1,13 +1,11 @@
-import csv
 import json
 import math
 import warnings
 from functools import reduce
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mfdist import models
@@ -356,6 +354,36 @@ class TestDrawBlocks:
                     assert x[:, i - 1].tobytes() == x_want[:, i - 1].tobytes(), (size, asked)
                 assert rng.random(4).tobytes() == after.tobytes(), (size, asked)
 
+    @pytest.mark.parametrize("rows", [1, 2, B + 1, 200_003])
+    def test_inputs_are_generator_uniform_bit_for_bit(self, rows):
+        # random() scaled in place, without uniform's per-value loop
+        rng, reference = np.random.default_rng(rows), np.random.default_rng(rows)
+        want = reference.uniform(-np.pi, np.pi, size=(rows, 5))
+        assert models._ishigami_inputs(rng, rows).tobytes() == want.tobytes()
+        assert rng.random(4).tobytes() == reference.random(4).tobytes()
+
+
+class TestIndexDraws:
+    """``rng.integers`` keeps the unused half of a 64-bit output in the
+    generator, so split calls draw the one-shot call's values and leave the
+    generator where it would; the table sampler and exploitation draw their
+    indices a block at a time on this."""
+
+    @pytest.mark.parametrize(
+        "high, dtype",
+        [(high, dtype) for dtype in (np.int32, np.int64)
+         for high in (1, 5, 1000, 2**20 + 7, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32,
+                      2**32 + 1, 2**40 + 3)
+         if high <= np.iinfo(dtype).max + 1],
+    )
+    def test_split_calls_draw_the_one_shot_values(self, high, dtype):
+        for split in ([1], [3, 5], [8191], [8192, 1], [7, 8192, 8193]):
+            one, parts = np.random.default_rng(high), np.random.default_rng(high)
+            want = one.integers(0, high, size=sum(split), dtype=dtype)
+            got = [parts.integers(0, high, size=size, dtype=dtype) for size in split]
+            assert np.concatenate(got).tobytes() == want.tobytes(), split
+            assert parts.random() == one.random(), split
+
 
 class TestFeatureExpansion:
     def test_cubic_terms_for_single_model(self):
@@ -499,13 +527,15 @@ class TestSampleTable:
             SampleTable.from_csv(*paths)
 
     def test_overlong_field_names_line(self, tmp_path):
-        # numpy reads the long field; the blank line sends the file to the
-        # line loop, whose csv reader refuses fields over 131,072 characters
-        paths = self.write_table(tmp_path, ["0" * 200_000 + "1.5,2.0,3.0", ""])
-        with pytest.raises(TableParseError, match="line 2: field larger than field limit"):
+        # no field length limit: numpy reads a 200,000-character field, and
+        # a row or header it is in is refused by line like any other
+        paths = self.write_table(tmp_path, ["0" * 200_000 + "1.5,2.0,3.0"])
+        assert SampleTable.from_csv(*paths).y.tolist() == [1.5]
+        paths = self.write_table(tmp_path, ["1.0,2.0,3.0", "0" * 200_000 + "1.5,2.0"])
+        with pytest.raises(TableParseError, match="line 3: expected 3 fields, got 2"):
             SampleTable.from_csv(*paths)
         paths = self.write_table(tmp_path, ["1.0,2.0,3.0"], header="y" + "0" * 200_000 + ",x1,x2")
-        with pytest.raises(TableParseError, match="line 1: field larger than field limit"):
+        with pytest.raises(TableParseError, match="line 1: expected header 'y,x1,x2', got 'y0000"):
             SampleTable.from_csv(*paths)
 
     def test_bad_header(self, tmp_path):
@@ -572,22 +602,24 @@ def _parse_outcome(fn, *args):
 
 
 class TestTableFastPath:
-    """numpy's reader parses the rows; every file must read as the line loop
-    (``oracles.table_rows_line_loop``) reads it, values bit for bit and errors
-    word for word."""
+    """numpy's reader is the table's one parser.  A file the grammar accepts
+    must read as ``oracles.table_rows_line_loop`` reads it, bit for bit, in
+    one ``np.loadtxt`` call; any other file ends in an error naming its
+    first bad line."""
 
     @pytest.fixture
-    def csv_readers(self, monkeypatch):
-        """Counts the csv readers ``from_csv`` makes: one, for the header,
-        when numpy parsed the rows."""
-        made = []
+    def loadtxt_calls(self, monkeypatch):
+        """Counts the ``np.loadtxt`` calls ``from_csv`` makes: one for a
+        table it accepts."""
+        calls = []
 
         def counting(*args, **kwargs):
-            made.append(1)
-            return csv.reader(*args, **kwargs)
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(models, "csv", SimpleNamespace(reader=counting, writer=csv.writer))
-        return made
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", counting)
+        return calls
 
     @staticmethod
     def both(tmp_path, text, n=2):
@@ -607,65 +639,97 @@ class TestTableFastPath:
     @pytest.mark.parametrize(
         "after_header, expected",
         [
-            ("\n1,2,3\n\n4,5,6\n", "line 3: expected 3 fields, got 0"),
-            ("\n1,2,3\n4,5,6\n\n", "line 4: expected 3 fields, got 0"),
-            ("\n\n\n", "line 2: expected 3 fields, got 0"),
+            ("\n1,2,3\n\n4,5,6\n", "line 3: blank line"),
+            ("\n1,2,3\n4,5,6\n\n", "line 4: blank line"),
+            ("\n\n\n", "line 2: blank line"),
             ("\n1,2,3\n \t \n4,5,6\n", "line 3: expected 3 fields, got 1"),
             ("\n1,2,3,4\n5,6,7,8\n", "line 2: expected 3 fields, got 4"),
             ("\n1,2\n3,4\n", "line 2: expected 3 fields, got 2"),
-            ("\n1,2,3\r4,5,6\n\n", "line 4: expected 3 fields, got 0"),
-            ("\n1,2,3\x1c\n", "line 2: could not convert string to float: '3\\x1c'"),
-            ("\n1,2,3\n4,5,6\x1f", "line 3: could not convert string to float: '6\\x1f'"),
-            ('\n"1.5",2,3\n4,"5e0",6\n', None),
-            ("\n1_0,2,3\n", None),
-            ("\n١٢,2,3\n", None),
+            ("\n1,2,3\r4,5,6\n\n", "line 4: blank line"),
+            ("\n1,2,3\x1c\n", "line 2: byte 0x1c is an ASCII separator, which no table holds"),
+            ("\n1,2,3\n4,5,6\x1f", "line 3: byte 0x1f is an ASCII separator, which no table holds"),
+            ('\n"1.5",2,3\n4,"5e0",6\n', "line 2: could not convert string to float: '\"1.5\"'"),
+            ("\n1_0,2,3\n", "line 2: could not convert string to float: '1_0'"),
+            ("\n1,١٢,3\n", "line 2: could not convert string to float: '١٢'"),
             ("\r1,2,3\r4,5,6\r", None),
             ("\r\n1,2,3\r\n4,5,6\r\n", None),
             ("\n1,2,3\n4,5,6", None),
-            ('\n"1\n",2,3\n1,2,x\n', "line 4: could not convert string to float: 'x'"),
+            ('\n"1\n",2,3\n1,2,x\n', "line 2: expected 3 fields, got 1"),
             ("\n1,2,3\n4,nan,6\n", "line 3: column x1 is nan, not a finite number"),
             ("\n1,2,3\n4,5,1e400\n", "line 3: column x2 is inf, not a finite number"),
             ("\n-Infinity,2,-nan\n", "line 2: column y is -inf, not a finite number"),
-            ('\n"1",2,3\n4,5,6\nNaN,inf,6\n', "line 4: column y is nan, not a finite number"),
-            ('\n"1",2,3\n4,+inf,6\n', "line 3: column x1 is inf, not a finite number"),
+            ('\n1,2,3\n4,5,6\nNaN,inf,"6"\n', "line 4: could not convert string to float: '\"6\"'"),
+            ('\n1,2,3\n4,+inf,6\n\n"1",2,3\n', "line 3: column x1 is inf, not a finite number"),
+            ("\n \t \n1,2,3\n", "line 2: expected 3 fields, got 1"),
+            ("\n1,2\n3,4,5\n", "line 2: expected 3 fields, got 2"),
+            ("\n1,2,3\n4,,6\n", "line 3: could not convert string to float: ''"),
+            ("\n1,2,3\n\n4,x,6\n", "line 3: blank line"),
+            ("\n1,2,3\n4,x,6\n\n", "line 3: could not convert string to float: 'x'"),
+            ("\n1,2,3\n4,nan,6\n5,x,6\n", "line 3: column x1 is nan, not a finite number"),
+            ("\n1,2,3\n\n4,5\n", "line 3: blank line"),
+            ("\n1,2,3\n4,5,6\x1f\n\n", "line 3: byte 0x1f is an ASCII separator, which no table holds"),
+            ("\n1,2,3\n\n4,5,6\x1f\n", "line 3: blank line"),
+            ("\n1,2,3\r\n\r\n4,5,6\r\n", "line 3: blank line"),
         ],
         ids=[
             "blank-middle", "blank-end", "blank-only", "whitespace-line", "too-wide",
             "too-narrow", "cr-then-blank", "separator-byte", "separator-byte-last",
             "quoted", "underscore", "arabic-digits", "cr", "crlf", "no-final-newline",
             "after-quoted-newline", "nan", "overflow", "first-non-finite", "nan-quoted",
-            "inf-quoted",
+            "inf-quoted", "whitespace-first-row", "wide-first-row", "empty-field",
+            "blank-before-malformed", "malformed-before-blank", "blank-before-narrow",
+            "nan-before-malformed", "separator-before-blank", "blank-before-separator",
+            "crlf-blank",
         ],
     )
     def test_traps_read_as_the_line_loop(self, tmp_path, after_header, expected):
         fast, loop = self.both(tmp_path, "y,x1,x2" + after_header)
-        assert fast == loop
         if expected is None:
-            assert fast[1] == (fast[0][0], 2)
+            assert fast == loop and fast[1] == (fast[0][0], 2)
         else:
             assert fast == (TableParseError, f"{tmp_path / 't.csv'}: {expected}")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_blank_line_across_a_chunk_edge(self, tmp_path, newline):
+        # the blank line's end is the first byte of the scan's second 1 MiB chunk
+        head, row = "y,x1,x2" + newline, "0.25,0.5,0.75" + newline
+        rows = ((1 << 20) - len(head)) // len(row) - 1
+        last = "0" * ((1 << 20) - len(head) - (rows + 1) * len(row)) + row
+        fast, _ = self.both(tmp_path, head + row * rows + last + newline + row)
+        assert fast == (TableParseError, f"{tmp_path / 't.csv'}: line {rows + 3}: blank line")
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=3, max_size=3), min_size=1, max_size=20))
+    def test_repr_of_finite_floats_reads_back_bit_for_bit(self, tmp_path, rows):
+        text = "y,x1,x2\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        (tmp_path / "t.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "t.json").write_text(json.dumps({"cost_y": 1.0, "costs": [0.5, 0.5]}))
+        table = SampleTable.from_csv(tmp_path / "t.csv", tmp_path / "t.json")
+        read = np.column_stack([table.y, table.x])
+        assert read.view(np.uint64).tolist() == np.array(rows).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("after_header", ["", "\n"], ids=["no-newline", "newline"])
     def test_header_only(self, tmp_path, n, after_header):
         # numpy reads no rows from it as (0, 1), a valid shape when n = 0
         header = ",".join(["y"] + [f"x{i}" for i in range(1, n + 1)])
-        fast, loop = self.both(tmp_path, header + after_header, n=n)
-        assert fast == loop
+        fast, _ = self.both(tmp_path, header + after_header, n=n)
         assert fast == (TableParseError, f"{tmp_path / 't.csv'}: table has a header but no data rows")
 
     @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_plain_files_take_numpy(self, tmp_path, csv_readers, newline, final):
+    def test_plain_files_take_numpy(self, tmp_path, loadtxt_calls, newline, final):
         # the file's 1 MiB read chunks end between the \r and \n of a row
         row = "0.25,0.5,0.75" + newline
         rows = ((1 << 20) - len("y,x1,x2" + newline)) // len(row) + 2
         body = row * rows if final else (row * rows).removesuffix(newline)
         fast, loop = self.both(tmp_path, "y,x1,x2" + newline + body)
         assert fast == loop and fast[1] == (rows, 2)
-        assert len(csv_readers) == 1
+        assert len(loadtxt_calls) == 1
 
-    def test_random_spellings_bit_for_bit(self, tmp_path, csv_readers):
+    def test_random_spellings_bit_for_bit(self, tmp_path, loadtxt_calls):
         rng = np.random.default_rng(20261018)
         bits = rng.integers(0, 2**63, size=600, dtype=np.uint64) * np.uint64(2)
         bits += rng.integers(0, 2, size=600, dtype=np.uint64)
@@ -687,7 +751,7 @@ class TestTableFastPath:
         fast, loop = self.both(tmp_path, "y,x1,x2\n" + body)
         assert fast == loop
         assert fast[1] == (3000, 2)
-        assert len(csv_readers) == 1
+        assert len(loadtxt_calls) == 1
 
     def test_peak_is_at_most_three_floats_a_value(self, tmp_path):
         rows, n = 200_000, 2

@@ -667,10 +667,10 @@ class TestExploitUnevenBlocks:
 class TestExploitMemory:
     """exploit predicts the drawn inputs a block at a time, so it holds the
     predictions (1 float a row), never the N-row inputs or their design.
-    ``standard`` then draws its noise indices as int32 (half a float a row),
-    adds the gathered residuals a block at a time and frees the indices;
-    ``quantile`` keeps the input blocks (x, 2 floats a row) until its int32
-    level indices are drawn.  The predictions are sorted in place into the
+    ``standard`` then draws each block's noise indices as it adds the
+    gathered residuals; ``quantile`` keeps the input blocks (x, 2 floats a
+    row) until they are all drawn, then draws each slice's level indices as
+    it predicts the slice.  The predictions are sorted in place into the
     measure, which stores no levels and checks them a block at a time.  The
     1 MiB slack covers a block's uniforms, scratch rows, inputs and design
     (0.44 MiB for the last, 8193-row block)."""
@@ -679,8 +679,8 @@ class TestExploitMemory:
 
     @pytest.mark.parametrize(
         "variant, floats",
-        [("standard", 1.5), ("no-noise", 1), ("quantile", 3.5)],
-        ids=["standard-1.5", "no-noise-1", "quantile-3.5"],
+        [("standard", 1), ("no-noise", 1), ("quantile", 3.5)],
+        ids=["standard-1", "no-noise-1", "quantile-3.5"],
     )
     def test_peak_in_floats_a_row(self, variant, floats):
         suite = expanded_suite(ishigami_suite("perfect"), "L")
@@ -689,7 +689,7 @@ class TestExploitMemory:
             exploit(state, suite, variant, rng=np.random.default_rng(0))
         assert traced.peak <= 8 * self.ROWS * floats + 2**20, traced.peak / (8 * self.ROWS)
 
-    @pytest.mark.parametrize("variant, floats", [("standard", 1.5), ("quantile", 3.5)])
+    @pytest.mark.parametrize("variant, floats", [("standard", 1), ("quantile", 3.5)])
     def test_exploit_then_moments(self, variant, floats):
         # a cell's estimate and its moment summary: moment_summary works in
         # blocks beside the 1-float estimate, so the pair peaks at exploit's
