@@ -698,6 +698,24 @@ class TestTableFastPath:
         fast, _ = self.both(tmp_path, head + row * rows + last + newline + row)
         assert fast == (TableParseError, f"{tmp_path / 't.csv'}: line {rows + 3}: blank line")
 
+    # (line, whether a table may hold it): each kind of line the grammar refuses
+    LINES = [("1.5, -2e-3 ,+.5", True), ("0,\t7\t,1e-400", True), ("", False), (" ", False),
+             ("1,2,3\x1c", False), ("1,2", False), ("1,2,3,4", False), ('"1",2,3', False),
+             ("1_0,2,3", False), ("1,\u0661,3", False), ("1,,3", False), ("nan,2,3", False),
+             ("1,1e400,3", False)]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.sampled_from(LINES), min_size=1, max_size=8),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_error_names_the_first_bad_line(self, tmp_path, lines, newline):
+        fast, _ = self.both(tmp_path, "".join(text + newline for text, _ in [("y,x1,x2", True), *lines]))
+        bad = [line for line, (_, good) in enumerate(lines, start=2) if not good]
+        if bad:
+            assert fast[0] is TableParseError and f"t.csv: line {bad[0]}: " in fast[1], fast
+        else:
+            assert fast[1] == (len(lines), 2)
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
