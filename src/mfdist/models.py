@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -455,10 +455,13 @@ class SampleTable:
         line or byte 0x1c-0x1f, which numpy would skip or strip.
 
         One byte pass finds the first such line, and one ``loadtxt`` call
-        parses the rows before it.  An error names the first bad line, or the
-        first byte that is not UTF-8 if that line holds it.  A row numpy
-        refuses is read again up to that row, so that a value before it that
-        is not finite is named first.
+        reads the rows before it from the path (from the open file if numpy
+        would take the path as compressed).  An error names the first bad
+        line, or the first byte that is not UTF-8 if that line holds it.  A
+        refused read is repeated through an open text handle, which passes
+        undecodable bytes on to numpy, and a row numpy refuses is read again
+        up to that row, so that a value before it that is not finite is named
+        first.
         """
         path = Path(path)
         cost_y, costs = _read_costs(costs_path)
@@ -468,15 +471,20 @@ class SampleTable:
             header = fh.readline().rstrip("\r\n")
             if header != ",".join(names):
                 raise _table_error(path, 1, f"expected header {','.join(names)!r}, got {header!r}")
-            start = fh.tell()
             fields = fh.readline().count(",") + 1  # loadtxt takes its width from the first row
             if stop > 2 and fields != len(names):
                 raise _table_error(path, 2, f"expected {len(names)} fields, got {fields}")
+            # numpy reads a path in chunks and a file object line by line,
+            # but it decompresses a path by its suffix
+            source = fh if path.suffix in _COMPRESSED else str(path)
             try:
-                data = _rows(fh, start, stop - 2, len(names))
-            except ValueError as exc:
-                stop, problem = _refused(path, str(exc), len(names))
-                data = _rows(fh, start, stop - 2, len(names))
+                data = _rows(source, stop - 2, len(names))
+            except ValueError:  # a UnicodeDecodeError too: the handle reads such bytes as text
+                try:
+                    data = _rows(fh, stop - 2, len(names))
+                except ValueError as exc:
+                    stop, problem = _refused(path, str(exc), len(names))
+                    data = _rows(fh, stop - 2, len(names))
         finite = np.isfinite(data)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
@@ -537,7 +545,10 @@ def _read_costs(costs_path: str | Path) -> tuple[float, tuple[float, ...]]:
 
 # a blank line (a line end right after another; a \r\n is one) and the ASCII
 # separators 0x1c-0x1f, which numpy would skip or strip as whitespace
-_REFUSED = (b"\n\n", b"\n\r", b"\r\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_REFUSED = (b"\n\n", b"\n\r", b"\r\r", *_SEPARATORS)
+# the suffixes of the paths that np.loadtxt decompresses
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _line_ends(data: bytes) -> int:
@@ -558,25 +569,35 @@ def _scan(path: Path) -> tuple[int, str | None]:
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             data = last + chunk
-            found = [at + len(bad) - 1 for bad in _REFUSED  # most tables hold no \r
-                     if (b"\r" not in bad or b"\r" in data) and (at := data.find(bad)) >= 0]
-            if found:
-                at = min(found)
-                line = ends + _line_ends(data[:at]) - _line_ends(last) + 1
-                return line, ("blank line" if data[at] in b"\r\n" else
-                              f"byte {data[at]:#04x} is an ASCII separator, which no table holds")
-            ends += _line_ends(data) - _line_ends(last)
+            if b"\r" in data:
+                found = [at + len(bad) - 1 for bad in _REFUSED if (at := data.find(bad)) >= 0]
+                at = min(found, default=len(data))
+                before = _line_ends(data[:at])
+            else:  # most tables: one numpy pass finds the line ends, and so the blank lines
+                nl = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+                found = [at for bad in _SEPARATORS if (at := data.find(bad)) >= 0]
+                at = min(found + nl[1:][np.diff(nl) == 1][:1].tolist(), default=len(data))
+                before = int(np.searchsorted(nl, at))
+            before -= _line_ends(last)
+            if at < len(data):
+                return ends + before + 1, ("blank line" if data[at] in b"\r\n" else
+                                           f"byte {data[at]:#04x} is an ASCII separator, which no table holds")
+            ends += before
             last = chunk[-1:]
     return ends + (last not in (b"\n", b"\r")) + 1, None
 
 
-def _rows(fh, start: int, rows: int, width: int) -> np.ndarray:
-    """The ``rows`` rows of the open table ``fh`` from position ``start``, as
-    a (rows, columns) array; ValueError if numpy refuses one."""
-    fh.seek(start)
+def _rows(table: str | TextIO, rows: int, width: int) -> np.ndarray:
+    """The first ``rows`` rows past the header of ``table``, a path or an
+    open text handle read from its start, as a (rows, columns) array;
+    ValueError if numpy refuses one, or UnicodeDecodeError from a path that
+    is not UTF-8."""
     if rows < 1:  # loadtxt warns of no data
         return np.empty((0, width))
-    return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+    if not isinstance(table, str):
+        table.seek(0)
+    return np.loadtxt(table, delimiter=",", comments=None, ndmin=2, skiprows=1,
+                      max_rows=rows, encoding="utf-8")
 
 
 def _refused(path: Path, message: str, width: int) -> tuple[int, str]:

@@ -145,6 +145,8 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     h = np.sort(qr(Z.T, mode="r", pivoting=True)[1][:p])
     Q = qr(Z, mode="economic")[0]
     q_norm = np.abs(Q).sum(axis=1)
+    q_rows = np.repeat(q_norm[:, None], p, axis=1)  # at W's shape, so its zero test runs contiguously
+    abs_y = np.abs(y)
     u = np.random.default_rng(0).uniform(1.0, 2.0, m)
     betas = np.empty((taus.size, p))
     max_pivots = 10 * (m + taus.size)
@@ -154,13 +156,14 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
         Qh_inv = np.linalg.inv(Q[h])
         W = Q @ Qh_inv
         # rates and residuals below rounding level are zero
-        W[np.abs(W) <= 1e-12 * np.max(np.abs(Qh_inv)) * q_norm[:, None]] = 0.0
+        W[np.abs(W) <= 1e-12 * np.abs(Qh_inv).max() * q_rows] = 0.0
         gamma = np.linalg.solve(Q[h], y[h])
         r = y - Q @ gamma
-        r[np.abs(r) <= 1e-12 * (np.abs(y) + q_norm * np.max(np.abs(gamma)))] = 0.0
+        r[np.abs(r) <= 1e-12 * (abs_y + q_norm * np.abs(gamma).max())] = 0.0
         r[h] = 0.0
         e = u - W @ u[h]  # the perturbation's residuals
-        sign = np.where(r == 0.0, np.sign(e), np.sign(r))
+        sign = np.sign(r)
+        np.sign(e, out=sign, where=r == 0.0)
         sign[h] = 0.0
         return W, r, e, sign
 
@@ -197,9 +200,19 @@ def _basis_walk(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
                 # a flat edge ends at its first crossing, where times equal up
                 # to rounding must tie for the perturbation to order them
                 t[t <= t.min() * (1.0 + 1e-12)] = t.min()
-            order = np.lexsort((-e[crossing] / a_c, t))
-            rise = np.cumsum(np.abs(a_c)[order])
-            j = int(np.searchsorted(rise, descent))
+            # the step reads only the first crossings: order those up to the
+            # K-th time, ties included, which are a prefix of the full order,
+            # and widen K while their rates sum to less than the descent
+            K = 8
+            while True:
+                near = (np.flatnonzero(t <= np.partition(t, K - 1)[K - 1]) if K < t.size
+                        else np.arange(t.size))
+                order = near[np.lexsort((-e[crossing[near]] / a_c[near], t[near]))]
+                rise = np.cumsum(np.abs(a_c[order]))
+                j = int(np.searchsorted(rise, descent))
+                if j < order.size or K >= t.size:
+                    break
+                K *= 4
             if j == order.size:
                 raise QuantileSolverError(f"pinball objective unbounded at tau={tau}")
             h[k] = crossing[order[j]]

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own computational paths:
 brute-force enumeration, closed forms, quadrature, and high-precision
-arithmetic stand on their own so agreement is meaningful.  The last three
-helpers serve the tests themselves: a design with an intercept, a table on
-disk, and a tracemalloc measurement of a block's memory.
+arithmetic stand on their own so agreement is meaningful.  The exception is
+``basis_walk_reference``, an earlier version of the package's quantile walk
+kept for a differential test.  The last three helpers serve the tests
+themselves: a design with an intercept, a table on disk, and a tracemalloc
+measurement of a block's memory.
 """
 
 from __future__ import annotations
@@ -413,6 +415,85 @@ def pinball_lexmin_bruteforce(Z, y, taus) -> list[list[Fraction]]:
             if best[k] is None or candidate < best[k]:
                 best[k] = candidate
     return [b[1] for b in best]
+
+
+def basis_walk_reference(Z: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``mfdist.regress._basis_walk`` as it was when its ratio test ordered
+    every crossing row with one full ``np.lexsort`` at each pivot; the body
+    is unchanged from that version.  The current walk orders only the
+    crossings up to its step, a prefix of the same order, so it must return
+    these betas bit for bit and raise the same errors."""
+    from scipy.linalg import qr
+
+    from mfdist.errors import QuantileSolverError
+    from mfdist.regress import _lex_descent_edge
+
+    m, p = Z.shape
+    h = np.sort(qr(Z.T, mode="r", pivoting=True)[1][:p])
+    Q = qr(Z, mode="economic")[0]
+    q_norm = np.abs(Q).sum(axis=1)
+    u = np.random.default_rng(0).uniform(1.0, 2.0, m)
+    betas = np.empty((taus.size, p))
+    max_pivots = 10 * (m + taus.size)
+    pivots = 0
+
+    def vertex(h):
+        Qh_inv = np.linalg.inv(Q[h])
+        W = Q @ Qh_inv
+        # rates and residuals below rounding level are zero
+        W[np.abs(W) <= 1e-12 * np.max(np.abs(Qh_inv)) * q_norm[:, None]] = 0.0
+        gamma = np.linalg.solve(Q[h], y[h])
+        r = y - Q @ gamma
+        r[np.abs(r) <= 1e-12 * (np.abs(y) + q_norm * np.max(np.abs(gamma)))] = 0.0
+        r[h] = 0.0
+        e = u - W @ u[h]  # the perturbation's residuals
+        sign = np.where(r == 0.0, np.sign(e), np.sign(r))
+        sign[h] = 0.0
+        return W, r, e, sign
+
+    W, r, e, sign = vertex(h)
+    for i, tau in enumerate(taus):
+        while True:
+            # derivatives along the edges that raise (up) or lower (down)
+            # each basis row's residual
+            g = np.where(sign > 0.0, tau, np.where(sign < 0.0, tau - 1.0, 0.0)) @ W
+            slopes = np.concatenate([g + tau, (1.0 - tau) - g])
+            edge = int(np.argmin(slopes))
+            k = edge % p
+            descent = -slopes[edge]
+            tol = 1e-12 * np.abs(W[:, k]).sum()
+            if descent <= tol:
+                # optimal; past a flat edge the argmin is a face
+                edge = None
+                if descent >= -tol:
+                    edge = _lex_descent_edge(slopes, W, np.linalg.inv(Z[h]))
+                if edge is None:
+                    break
+                k, descent = edge % p, 0.0
+            pivots += 1
+            if pivots > max_pivots:
+                raise QuantileSolverError(
+                    f"pinball basis walk exceeded {max_pivots} pivots at tau={tau}"
+                )
+            a = W[:, k] if edge < p else -W[:, k]
+            crossing = np.flatnonzero(sign * a < 0.0)
+            a_c = a[crossing]
+            # order by the perturbed crossing times t + eps * t_eps
+            t = -r[crossing] / a_c
+            if descent == 0.0 and t.size:
+                # a flat edge ends at its first crossing, where times equal up
+                # to rounding must tie for the perturbation to order them
+                t[t <= t.min() * (1.0 + 1e-12)] = t.min()
+            order = np.lexsort((-e[crossing] / a_c, t))
+            rise = np.cumsum(np.abs(a_c)[order])
+            j = int(np.searchsorted(rise, descent))
+            if j == order.size:
+                raise QuantileSolverError(f"pinball objective unbounded at tau={tau}")
+            h[k] = crossing[order[j]]
+            h.sort()
+            W, r, e, sign = vertex(h)
+        betas[i] = np.linalg.solve(Z[h], y[h])
+    return betas
 
 
 def table_rows_line_loop(path, n: int) -> tuple[np.ndarray, np.ndarray]:

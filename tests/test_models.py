@@ -538,6 +538,13 @@ class TestSampleTable:
         with pytest.raises(TableParseError, match="line 1: expected header 'y,x1,x2', got 'y0000"):
             SampleTable.from_csv(*paths)
 
+    @pytest.mark.parametrize("name", ["t.csv.gz", "t.bz2", "t.xz", "t.lzma"])
+    def test_compressed_suffix_reads_as_plain_text(self, tmp_path, name):
+        # numpy opens a path by its suffix; the table is read as the bytes it holds
+        csv_path, costs_path = self.write_table(tmp_path, ["1.0,2.0,3.0", "4.0,5.0,6.0"])
+        plain = csv_path.rename(tmp_path / name)
+        assert SampleTable.from_csv(plain, costs_path).y.tolist() == [1.0, 4.0]
+
     def test_bad_header(self, tmp_path):
         paths = self.write_table(tmp_path, ["1.0,2.0,3.0"], header="y,a,b")
         with pytest.raises(TableParseError, match="line 1"):
@@ -609,12 +616,12 @@ class TestTableFastPath:
 
     @pytest.fixture
     def loadtxt_calls(self, monkeypatch):
-        """Counts the ``np.loadtxt`` calls ``from_csv`` makes: one for a
-        table it accepts."""
+        """The first argument of each ``np.loadtxt`` call ``from_csv`` makes:
+        one call for a table it accepts."""
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0])
             return loadtxt(*args, **kwargs)
 
         loadtxt = np.loadtxt
@@ -624,7 +631,7 @@ class TestTableFastPath:
     @staticmethod
     def both(tmp_path, text, n=2):
         csv_path, costs_path = tmp_path / "t.csv", tmp_path / "t.json"
-        csv_path.write_bytes(text.encode("utf-8"))
+        csv_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         costs_path.write_text(json.dumps({"cost_y": 1.0, "costs": [0.5] * n}))
 
         def from_csv():
@@ -699,17 +706,19 @@ class TestTableFastPath:
         assert fast == (TableParseError, f"{tmp_path / 't.csv'}: line {rows + 3}: blank line")
 
     # (line, whether a table may hold it): each kind of line the grammar refuses
-    LINES = [("1.5, -2e-3 ,+.5", True), ("0,\t7\t,1e-400", True), ("", False), (" ", False),
-             ("1,2,3\x1c", False), ("1,2", False), ("1,2,3,4", False), ('"1",2,3', False),
-             ("1_0,2,3", False), ("1,\u0661,3", False), ("1,,3", False), ("nan,2,3", False),
-             ("1,1e400,3", False)]
+    LINES = [(b"1.5, -2e-3 ,+.5", True), (b"0,\t7\t,1e-400", True), (b"", False), (b" ", False),
+             (b"1,2,3\x1c", False), (b"1,2", False), (b"1,2,3,4", False), (b'"1",2,3', False),
+             (b"1_0,2,3", False), ("1,\u0661,3".encode(), False), (b"1,,3", False),
+             (b"nan,2,3", False), (b"1,1e400,3", False), (b"1,\xff2,3", False)]
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=st.lists(st.sampled_from(LINES), min_size=1, max_size=8),
-           newline=st.sampled_from(["\n", "\r\n", "\r"]))
+           newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
     def test_error_names_the_first_bad_line(self, tmp_path, lines, newline):
-        fast, _ = self.both(tmp_path, "".join(text + newline for text, _ in [("y,x1,x2", True), *lines]))
+        # numpy decodes a path a chunk ahead of the row it reads, so a byte
+        # that is not UTF-8 can refuse the read before an earlier bad line
+        fast, _ = self.both(tmp_path, b"".join(text + newline for text, _ in [(b"y,x1,x2", True), *lines]))
         bad = [line for line, (_, good) in enumerate(lines, start=2) if not good]
         if bad:
             assert fast[0] is TableParseError and f"t.csv: line {bad[0]}: " in fast[1], fast
@@ -745,7 +754,8 @@ class TestTableFastPath:
         body = row * rows if final else (row * rows).removesuffix(newline)
         fast, loop = self.both(tmp_path, "y,x1,x2" + newline + body)
         assert fast == loop and fast[1] == (rows, 2)
-        assert len(loadtxt_calls) == 1
+        # numpy reads a path in chunks but a file object line by line
+        assert loadtxt_calls == [str(tmp_path / "t.csv")]
 
     def test_random_spellings_bit_for_bit(self, tmp_path, loadtxt_calls):
         rng = np.random.default_rng(20261018)

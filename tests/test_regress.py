@@ -1,9 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mfdist.errors import InsufficientSampleError
+from mfdist import regress
+from mfdist.errors import InsufficientSampleError, QuantileSolverError
 from mfdist.regress import (
     QuantileFit,
     ols_fit,
@@ -11,6 +15,7 @@ from mfdist.regress import (
 )
 
 from oracles import (
+    basis_walk_reference,
     ols_normal_equations_mp,
     pinball_lexmin_bruteforce,
     pinball_loss,
@@ -401,3 +406,57 @@ class TestQuantileFitRankDeficient:
             v = mean_pinball(Z, y, tau, beta)
             assert v == pytest.approx(mean_pinball(full, y, tau, ref), rel=1e-12, abs=1e-15)
             assert pinball_subgradient_margin(Z, y, tau, beta) >= -1e-7 * (1.0 + abs(v))
+
+
+def _fit_outcome(Z, y, taus):
+    """The betas' bit patterns, or the error's type and message."""
+    try:
+        return quantile_fit(Z, y, taus).betas.view(np.uint64).tolist()
+    except QuantileSolverError as exc:
+        return type(exc), str(exc)
+
+
+class TestBasisWalkAgainstFullOrder:
+    """The walk's ratio test orders only the crossings up to its step.  They
+    are a prefix of the full order by perturbed crossing time, so every
+    level must come out as the full-order walk's, bit for bit."""
+
+    @staticmethod
+    def design(kind, p, t, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "continuous":
+            x = rng.normal(size=(t, p - 1))
+            y = x.sum(axis=1) + rng.standard_t(3, size=t)
+        elif kind == "integer-ties":
+            x = rng.integers(0, 4, (t, p - 1)).astype(float)
+            y = rng.integers(-2, 3, t).astype(float)
+        else:  # near-collinear: each column a 1e-7 perturbation of one draw
+            base = rng.normal(size=t)
+            x = base[:, None] + 1e-7 * rng.normal(size=(t, p - 1))
+            y = base + 5e6 * (x.sum(axis=1) - (p - 1) * base) + 0.5 * rng.normal(size=t)
+        return with_intercept(x), y
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(kind=st.sampled_from(["continuous", "integer-ties", "near-collinear"]),
+           p=st.integers(1, 5), t=st.integers(8, 400), seed=st.integers(0, 2**32 - 1),
+           denominator=st.sampled_from([101.0, 102.0]))
+    @example(kind="continuous", p=1, t=10, seed=0, denominator=102.0)  # even-sample median
+    @example(kind="integer-ties", p=3, t=400, seed=1, denominator=102.0)  # walks two flat edges
+    def test_betas_bit_for_bit(self, kind, p, t, seed, denominator):
+        # 51 / 102 is the median, whose argmin on an even sample is a face
+        Z, y = self.design(kind, p, t, seed)
+        taus = np.arange(1, 101) / denominator
+        walked = _fit_outcome(Z, y, taus)
+        with mock.patch.object(regress, "_basis_walk", basis_walk_reference):
+            assert walked == _fit_outcome(Z, y, taus)
+
+    def test_same_error_at_the_pivot_cap(self):
+        # levels that swing between the tails walk about 16 pivots each,
+        # past the cap of 10 a row and a level
+        rng = np.random.default_rng(2)
+        Z, y = with_intercept(rng.normal(size=(60, 4))), rng.normal(size=60)
+        taus = np.tile([0.001, 0.999], 50)
+        message = "pinball basis walk exceeded 1600 pivots at tau=0.999"
+        for walk in (regress._basis_walk, basis_walk_reference):
+            with pytest.raises(QuantileSolverError, match=message):
+                walk(Z, y, taus)
